@@ -679,7 +679,8 @@ def decode(
         if values[name] > 0.5
     )
     total = election.n if spec.action == "delete-voters" else election.m
-    deleted = tuple(i for i in range(1, total + 1) if i not in set(kept))
+    kept_set = set(kept)
+    deleted = tuple(i for i in range(1, total + 1) if i not in kept_set)
     winner = winner_after_deletion(election, spec.rule, kept, spec.action)
     ok = (winner == spec.target) if spec.mode == "constructive" else (winner != spec.target)
     verification = {

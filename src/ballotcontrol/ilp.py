@@ -471,7 +471,11 @@ def parse_lp(text: str) -> LinearProgram:
 
 
 def export_mps(model: LinearProgram) -> str:
-    """Fixed-field MPS text with integer markers and LI/UI bound entries."""
+    """Fixed-field MPS text with integer markers and LI/UI bound entries.
+
+    Names longer than a field push the rest of the line right, and at least
+    one space always separates two fields, so free-format readers such as
+    HiGHS parse every line."""
     names = _sanitized_names(model)
     lines = [f"NAME          {model.name}"]
     lines.append("OBJSENSE")
@@ -508,25 +512,25 @@ def export_mps(model: LinearProgram) -> str:
             in_integer_block = False
         column = names[var.name]
         for row, coef in entries[var.name]:
-            lines.append(f"    {column:<10}{row:<10}{format_number(coef)}")
+            lines.append(f"    {column:<9} {row:<9} {format_number(coef)}")
         if not entries[var.name]:
-            lines.append(f"    {column:<10}COST      0")
+            lines.append(f"    {column:<9} COST      0")
     if in_integer_block:
         lines.append(marker("INTEND"))
     lines.append("RHS")
     for idx, constraint in enumerate(model.constraints):
         if constraint.rhs != 0:
-            lines.append(f"    RHS       {row_names[idx]:<10}{format_number(constraint.rhs)}")
+            lines.append(f"    RHS       {row_names[idx]:<9} {format_number(constraint.rhs)}")
     lines.append("BOUNDS")
     for var in model.variables:
         column = names[var.name]
         if var.kind == BINARY:
             lines.append(f" BV BND       {column}")
         elif var.kind == INTEGER:
-            lines.append(f" LI BND       {column:<10}{format_number(var.lower)}")
-            lines.append(f" UI BND       {column:<10}{format_number(var.upper)}")
+            lines.append(f" LI BND       {column:<9} {format_number(var.lower)}")
+            lines.append(f" UI BND       {column:<9} {format_number(var.upper)}")
         else:
-            lines.append(f" LO BND       {column:<10}{format_number(var.lower)}")
-            lines.append(f" UP BND       {column:<10}{format_number(var.upper)}")
+            lines.append(f" LO BND       {column:<9} {format_number(var.lower)}")
+            lines.append(f" UP BND       {column:<9} {format_number(var.upper)}")
     lines.append("ENDATA")
     return "\n".join(lines) + "\n"

@@ -68,7 +68,8 @@ def _solution(election, spec, kept, winner, voters_mode) -> ControlSolution:
         kept_orig = tuple(sorted(swap_index(i, 1, spec.target) for i in kept))
         total = election.m
         winner_orig = None if winner is None else swap_index(winner, 1, spec.target)
-    deleted = tuple(i for i in range(1, total + 1) if i not in set(kept_orig))
+    kept_set = set(kept_orig)
+    deleted = tuple(i for i in range(1, total + 1) if i not in kept_set)
     verification = {
         "rule": spec.rule,
         "mode": spec.mode,

@@ -1,16 +1,20 @@
 """Deterministic exact solver for the control programs.
 
-The LP relaxation is solved either by an own dense bounded-variable
-two-phase primal simplex (fine for the small and medium models the
-encoders usually produce) or by scipy's HiGHS backend for large models;
-`lp_engine="auto"` picks by model size. On top sits a best-first branch
-and bound: node selection by best dual bound (ties broken by depth, then
-creation order, with the down branch created first), branching on the
-most fractional integral variable (ties by lowest variable index), a
-rounding heuristic seeding incumbents at every node, and strengthened
-pruning for integral objectives. Every step is deterministic, so two runs
-of the same model and config return identical statuses, incumbents, and
-node counts.
+Every LP relaxation of one `solve()` goes to a single HiGHS instance: the
+model is passed once, and each node, dive step and probe only changes the
+column bounds and re-runs the dual simplex from the previous basis. The
+binding is scipy's private `scipy.optimize._highspy._core`, loaded directly
+so that a fresh process does not pay for importing all of `scipy.optimize`;
+when it is missing, each LP falls back to a cold `scipy.optimize.linprog`.
+On top sits a best-first branch and bound: node selection by best dual
+bound (ties broken by depth, then creation order, with the down branch
+created first), branching on the most fractional integral variable (ties
+by lowest variable index), a rounding heuristic seeding incumbents at every
+node, and strengthened pruning for integral objectives. A near-integral
+node whose rounded point fails the row check is branched on its largest
+rounding error, never dropped. Every step is deterministic, so two runs of
+the same model and config return identical statuses, incumbents, and node
+counts.
 
 Incumbents are only accepted after an exact feasibility check of the
 rounded point, and the final incumbent is re-verified with
@@ -20,9 +24,13 @@ rounded point, and the final incumbent is re-verified with
 from __future__ import annotations
 
 import heapq
+import importlib.machinery
+import importlib.util
+import sys
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from pathlib import Path
 from typing import Optional
 
 import numpy as np
@@ -41,7 +49,6 @@ class SolverConfig:
     integrality_tol: float = 1e-5
     node_limit: Optional[int] = None
     time_limit: Optional[float] = None
-    lp_engine: str = "auto"
 
     def __post_init__(self):
         if min(self.feasibility_tol, self.optimality_tol, self.integrality_tol) <= 0:
@@ -50,8 +57,6 @@ class SolverConfig:
             raise ValueError("node limit must be positive")
         if self.time_limit is not None and self.time_limit <= 0:
             raise ValueError("time limit must be positive")
-        if self.lp_engine not in ("auto", "dense", "highs"):
-            raise ValueError(f"unknown lp engine {self.lp_engine!r}")
 
 
 @dataclass(frozen=True)
@@ -85,13 +90,12 @@ def canonical_result(result: SolveResult) -> str:
     )
 
 
-_LOWER, _UPPER, _BASIC = 0, 1, 2
 _TOL = 1e-9
 
 
 class _StandardForm:
-    """Arrays shared by every LP solve of one model: rows, bounds, objective
-    (internally always maximized), slack boxes from the root bounds."""
+    """Arrays shared by every LP solve of one model: rows, bounds and the
+    objective (internally always maximized)."""
 
     def __init__(self, model: LinearProgram):
         self.model = model
@@ -123,37 +127,11 @@ class _StandardForm:
             self.senses.append(constraint.sense)
             rhs[r] = float(constraint.rhs)
         self.rhs = rhs
-        self.slack_lo = np.zeros(self.nrows)
-        self.slack_hi = np.zeros(self.nrows)
-        for r in range(self.nrows):
-            coef = self.row_coef[r]
-            idx = self.row_idx[r]
-            lo, hi = self.lower[idx], self.upper[idx]
-            maxact = float(np.sum(np.where(coef > 0, coef * hi, coef * lo)))
-            minact = float(np.sum(np.where(coef > 0, coef * lo, coef * hi)))
-            if self.senses[r] == "<=":
-                self.slack_lo[r] = max(0.0, rhs[r] - maxact)
-                self.slack_hi[r] = rhs[r] - minact
-            elif self.senses[r] == ">=":
-                self.slack_lo[r] = rhs[r] - maxact
-                self.slack_hi[r] = min(0.0, rhs[r] - minact)
-            else:
-                self.slack_lo[r] = 0.0
-                self.slack_hi[r] = 0.0
-        self._dense = None
         self._csr = None
         self._prop = None
         self._sense_le = np.array([s == "<=" for s in self.senses], dtype=bool)
         self._sense_ge = np.array([s == ">=" for s in self.senses], dtype=bool)
         self._sense_eq = np.array([s == "=" for s in self.senses], dtype=bool)
-
-    def dense(self) -> np.ndarray:
-        if self._dense is None:
-            A = np.zeros((self.nrows, self.ncols))
-            for r in range(self.nrows):
-                A[r, self.row_idx[r]] = self.row_coef[r]
-            self._dense = A
-        return self._dense
 
     def csr(self):
         if self._csr is None:
@@ -176,8 +154,6 @@ class _StandardForm:
     def activities(self, x: np.ndarray) -> np.ndarray:
         if self.nrows == 0:
             return np.zeros(0)
-        if self._dense is not None:
-            return self._dense @ x
         return self.csr() @ x
 
     def feasible_point(self, x: np.ndarray, tol: float) -> bool:
@@ -296,148 +272,107 @@ def _propagate(sf: _StandardForm, lower, upper, int_round=True, max_passes=50) -
     return True
 
 
-def _choose_engine(sf: _StandardForm, engine: str) -> str:
-    if engine != "auto":
-        return engine
-    if sf.nrows <= 200 and sf.nrows * sf.ncols <= 60_000:
-        return "dense"
-    return "highs"
+_HIGHS_MODULE = "scipy.optimize._highspy._core"
 
 
-def _lp_dense(sf: _StandardForm, lower, upper):
-    """Two-phase bounded-variable primal simplex on a dense tableau.
+def _load_highs():
+    """scipy's HiGHS binding, or None when this scipy has none.
 
-    Entering variable by largest reduced-cost improvement with a Bland's
-    rule fallback after a run of degenerate pivots; ratio-test ties go to
-    the smallest basic variable index. Returns ("optimal", x, value) in
-    the internal max sense, or ("infeasible", None, None).
+    The extension is loaded straight from its file under its canonical
+    name, because `from scipy.optimize._highspy import _core` first runs
+    `scipy.optimize`'s package `__init__`, which imports every optimizer
+    and dominates the start-up of a process that answers one small
+    question. A later `import scipy.optimize` finds the module in
+    `sys.modules` and reuses it.
     """
-    nrows, ncols = sf.nrows, sf.ncols
-    if np.any(lower > upper + _TOL):
-        return "infeasible", None, None
-    if np.any(sf.slack_lo > sf.slack_hi + _TOL):
-        return "infeasible", None, None
-    nvars = ncols + 2 * nrows
-    lo = np.zeros(nvars)
-    hi = np.zeros(nvars)
-    lo[:ncols], hi[:ncols] = lower, upper
-    lo[ncols : ncols + nrows] = sf.slack_lo
-    hi[ncols : ncols + nrows] = sf.slack_hi
+    module = sys.modules.get(_HIGHS_MODULE)
+    if module is not None:
+        return module
+    try:
+        import scipy
+    except ImportError:
+        return None
+    folder = Path(scipy.__file__).parent / "optimize" / "_highspy"
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+        path = folder / f"_core{suffix}"
+        if not path.is_file():
+            continue
+        loader = importlib.machinery.ExtensionFileLoader(_HIGHS_MODULE, str(path))
+        spec = importlib.util.spec_from_file_location(_HIGHS_MODULE, path, loader=loader)
+        module = importlib.util.module_from_spec(spec)
+        loader.exec_module(module)
+        sys.modules[_HIGHS_MODULE] = module
+        return module
+    try:
+        from scipy.optimize._highspy import _core
+    except ImportError:
+        return None
+    return _core
 
-    x = np.zeros(nvars)
-    x[:ncols] = lower
-    status = np.full(nvars, _LOWER, dtype=np.int8)
-    resid = sf.rhs - sf.dense() @ lower if nrows else np.zeros(0)
-    # Slacks start at the bound nearest their required value so the
-    # artificial basis starts as small as possible.
-    slack_at_hi = np.abs(resid - sf.slack_hi) < np.abs(resid - sf.slack_lo)
-    s0 = np.where(slack_at_hi, sf.slack_hi, sf.slack_lo)
-    status[ncols : ncols + nrows][slack_at_hi] = _UPPER
-    x[ncols : ncols + nrows] = s0
-    resid = resid - s0
-    art_sign = np.where(resid >= 0, 1.0, -1.0)
-    basis = np.arange(ncols + nrows, nvars, dtype=np.int64)
-    status[basis] = _BASIC
-    x[basis] = np.abs(resid)
-    hi[basis] = np.abs(resid)
 
-    T = np.zeros((nrows, nvars))
-    if nrows:
-        T[:, :ncols] = art_sign[:, None] * sf.dense()
-        T[np.arange(nrows), ncols + np.arange(nrows)] = art_sign
-        T[np.arange(nrows), ncols + nrows + np.arange(nrows)] = 1.0
+def _lp_solver(sf: _StandardForm):
+    """The LP relaxation of `sf` under given column bounds, as a function
+    lp(lower, upper) -> ("optimal", x, value) in the internal max sense,
+    or ("infeasible", None, None).
 
-    max_iter = 20_000 + 10 * nvars
+    One HiGHS instance gets the model once; every call changes the column
+    bounds and re-runs, so the dual simplex starts from the last basis.
+    """
+    core = _load_highs()
+    if core is None:
+        return lambda lower, upper: _lp_highs(sf, lower, upper)
+    highs = core._Highs()
+    highs.setOptionValue("output_flag", False)
+    matrix = sf.csr().tocsc()
+    matrix.sum_duplicates()
+    matrix.eliminate_zeros()
+    row_lower = np.where(sf._sense_le, -np.inf, sf.rhs)
+    row_upper = np.where(sf._sense_ge, np.inf, sf.rhs)
+    status = highs.passModel(
+        sf.ncols,
+        sf.nrows,
+        matrix.nnz,
+        int(core.MatrixFormat.kColwise),
+        int(core.ObjSense.kMinimize),
+        0.0,
+        -sf.obj,
+        sf.lower,
+        sf.upper,
+        row_lower,
+        row_upper,
+        matrix.indptr.astype(np.int32),
+        matrix.indices.astype(np.int32),
+        matrix.data,
+        np.zeros(sf.ncols, dtype=np.int32),
+    )
+    if status == core.HighsStatus.kError:
+        raise SolverError("HiGHS rejected the model")
+    columns = np.arange(sf.ncols, dtype=np.int32)
+    optimal, infeasible = core.HighsModelStatus.kOptimal, core.HighsModelStatus.kInfeasible
 
-    def optimize(cost):
-        d = cost - (cost[basis] @ T if nrows else np.zeros(nvars))
-        bland = False
-        degenerate_run = 0
-        for iteration in range(max_iter):
-            if iteration and iteration % 256 == 0:
-                d = cost - (cost[basis] @ T if nrows else np.zeros(nvars))
-            movable = (hi - lo) > 1e-12
-            up_ok = (status == _LOWER) & movable & (d > _TOL)
-            down_ok = (status == _UPPER) & movable & (d < -_TOL)
-            if bland:
-                eligible = np.nonzero(up_ok | down_ok)[0]
-                if eligible.size == 0:
-                    return
-                j = int(eligible[0])
-            else:
-                score = np.where(up_ok, d, np.where(down_ok, -d, -np.inf))
-                j = int(np.argmax(score))
-                if not np.isfinite(score[j]) or score[j] <= _TOL:
-                    return
-            sigma = 1.0 if status[j] == _LOWER else -1.0
-            u = T[:, j]
-            su = sigma * u
-            t_star = hi[j] - lo[j]
-            row = -1
-            if nrows:
-                xB, loB, hiB = x[basis], lo[basis], hi[basis]
-                ratios = np.full(nrows, np.inf)
-                mask = su > _TOL
-                ratios[mask] = (xB[mask] - loB[mask]) / su[mask]
-                mask = su < -_TOL
-                ratios[mask] = (hiB[mask] - xB[mask]) / (-su[mask])
-                np.maximum(ratios, 0.0, out=ratios)
-                rmin = float(ratios.min()) if nrows else np.inf
-                if rmin < t_star - 1e-12:
-                    t_star = rmin
-                    ties = np.nonzero(ratios <= rmin + 1e-12)[0]
-                    row = int(ties[np.argmin(basis[ties])])
-            if t_star <= 1e-11:
-                degenerate_run += 1
-                if degenerate_run > max(64, 2 * nrows):
-                    bland = True
-            else:
-                degenerate_run = 0
-                bland = False
-            if nrows:
-                x[basis] -= sigma * t_star * u
-            if row < 0:
-                x[j] = hi[j] if status[j] == _LOWER else lo[j]
-                status[j] = _UPPER if status[j] == _LOWER else _LOWER
-            else:
-                leaving = int(basis[row])
-                hit_lower = su[row] > 0
-                x[leaving] = lo[leaving] if hit_lower else hi[leaving]
-                status[leaving] = _LOWER if hit_lower else _UPPER
-                x[j] = (lo[j] + t_star) if sigma > 0 else (hi[j] - t_star)
-                status[j] = _BASIC
-                basis[row] = j
-                pivot = T[row, j]
-                T[row] /= pivot
-                column = T[:, j].copy()
-                column[row] = 0.0
-                T[:] -= np.outer(column, T[row])
-                T[:, j] = 0.0
-                T[row, j] = 1.0
-                d = d - d[j] * T[row]
-                d[j] = 0.0
-        raise SolverError("simplex iteration limit exceeded")
-
-    if nrows:
-        phase1 = np.zeros(nvars)
-        phase1[ncols + nrows :] = -1.0
-        optimize(phase1)
-        scale = 1.0 + float(np.abs(sf.rhs).max()) if nrows else 1.0
-        if float(x[ncols + nrows :].sum()) > 1e-7 * scale:
+    def lp(lower, upper):
+        if np.any(lower > upper + _TOL):
             return "infeasible", None, None
-        hi[ncols + nrows :] = 0.0
-        lo[ncols + nrows :] = 0.0
-    phase2 = np.zeros(nvars)
-    phase2[:ncols] = sf.obj
-    optimize(phase2)
-    point = np.clip(x[:ncols], lower, upper)
-    return "optimal", point, float(sf.obj @ point)
+        highs.changeColsBounds(sf.ncols, columns, lower, upper)
+        highs.run()
+        status = highs.getModelStatus()
+        if status == optimal:
+            point = np.clip(np.asarray(highs.getSolution().col_value), lower, upper)
+            return "optimal", point, float(sf.obj @ point)
+        if status == infeasible:
+            return "infeasible", None, None
+        raise SolverError(f"LP backend failed with status {highs.modelStatusToString(status)}")
+
+    return lp
 
 
 def _lp_highs(sf: _StandardForm, lower, upper):
-    """LP relaxation through scipy's HiGHS backend (deterministic)."""
+    """Cold LP relaxation through `scipy.optimize.linprog`, for a scipy
+    without the HiGHS binding `_lp_solver` uses."""
     from scipy.optimize import linprog
 
+    if np.any(lower > upper + _TOL):
+        return "infeasible", None, None
     if not hasattr(sf, "_highs_parts"):
         le = np.nonzero(sf._sense_le)[0]
         ge = np.nonzero(sf._sense_ge)[0]
@@ -494,7 +429,7 @@ def _apply_fixings(sf: _StandardForm, fixings):
     return lower, upper
 
 
-def solve_lp_relaxation(model: LinearProgram, fixings=None, engine: str = "auto") -> LpOutcome:
+def solve_lp_relaxation(model: LinearProgram, fixings=None) -> LpOutcome:
     """Continuous relaxation of the model under optional bound fixings.
 
     `fixings` maps variable names to a value or a (lower, upper) pair.
@@ -502,8 +437,7 @@ def solve_lp_relaxation(model: LinearProgram, fixings=None, engine: str = "auto"
     """
     sf = _StandardForm(model)
     lower, upper = _apply_fixings(sf, fixings)
-    lp = _lp_dense if _choose_engine(sf, engine) == "dense" else _lp_highs
-    status, x, value = lp(sf, lower, upper)
+    status, x, value = _lp_solver(sf)(lower, upper)
     if status != "optimal":
         return LpOutcome("infeasible", None, None)
     point = {name: float(v) for name, v in zip(sf.names, x)}
@@ -529,8 +463,7 @@ def solve(model: LinearProgram, config: Optional[SolverConfig] = None, trace=Non
     config = config or SolverConfig()
     start = time.perf_counter()
     sf = _StandardForm(model)
-    engine = _choose_engine(sf, config.lp_engine)
-    lp = _lp_dense if engine == "dense" else _lp_highs
+    lp = _lp_solver(sf)
     int_idx = np.nonzero(sf.integral)[0]
     integral_obj = _objective_is_integral(model)
     obj_support = sf.obj[int_idx] != 0
@@ -606,7 +539,7 @@ def solve(model: LinearProgram, config: Optional[SolverConfig] = None, trace=Non
                     if not _propagate(sf, trial_lo, trial_hi):
                         return
                 bounds_lo, bounds_hi = trial_lo, trial_hi
-            status, px, _ = lp(sf, bounds_lo, bounds_hi)
+            status, px, _ = lp(bounds_lo, bounds_hi)
             if status != "optimal":
                 return
             if try_incumbent(px):
@@ -626,20 +559,23 @@ def solve(model: LinearProgram, config: Optional[SolverConfig] = None, trace=Non
         nodes += 1
         if not _propagate(sf, lower, upper):
             return
-        status, x, value = lp(sf, lower, upper)
+        status, x, value = lp(lower, upper)
         if status != "optimal":
             return
         if incumbent_vec is not None and value <= cutoff():
             return
-        if int_idx.size:
-            dist = np.abs(x[int_idx] - np.round(x[int_idx]))
-            fractional = dist > config.integrality_tol
-        else:
-            fractional = np.zeros(0, dtype=bool)
+        dist = np.abs(x[int_idx] - np.round(x[int_idx]))
+        fractional = dist > config.integrality_tol
         if not fractional.any():
-            try_incumbent(x)
-            return
-        if not try_incumbent(x) and value > incumbent_val + 1e-9:
+            if try_incumbent(x):
+                return
+            # Near-integral, yet the rounded point breaks a row: the node
+            # may still hold feasible points, so branch on the largest
+            # rounding error instead of dropping it.
+            fractional = dist > 0
+            if not fractional.any():
+                raise SolverError("an integral LP point fails the exact row check")
+        elif not try_incumbent(x) and value > incumbent_val + 1e-9:
             dive(lower, upper, x)
         if incumbent_vec is not None and value <= cutoff():
             return

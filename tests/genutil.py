@@ -61,6 +61,22 @@ def random_binary_program(rng, max_vars=16, max_rows=20) -> LinearProgram:
     return model
 
 
+def random_big_coefficient_program(rng) -> LinearProgram:
+    """Random 2-4-binary program with row coefficients of magnitude 1e4-1e7
+    and right-hand sides near the activity of a random point, so LP vertices
+    often sit within rounding distance of an integral point."""
+    model = LinearProgram("big-coefficients")
+    k = rng.randint(2, 4)
+    names = [model.add_variable(f"x{i}", "binary") for i in range(k)]
+    model.set_objective("max", [(x, rng.randint(-3, 3)) for x in names])
+    for _ in range(rng.randint(1, 3)):
+        coefs = [rng.choice((-1, 1)) * rng.randint(10**4, 10**7) for _ in names]
+        point = [rng.randint(0, 1) for _ in names]
+        rhs = sum(c * v for c, v in zip(coefs, point)) + rng.randint(-2, 2)
+        model.add_constraint(list(zip(names, coefs)), rng.choice(("<=", ">=")), rhs)
+    return model
+
+
 def enumerate_binary_optimum(model: LinearProgram):
     """Exhaustive 2^k oracle for all-binary models: ('Optimal', value) or
     ('Infeasible', None). Exact integer arithmetic via numpy int64."""

@@ -204,3 +204,28 @@ class TestMpsFormat:
     def test_binaries_marked(self):
         text = export_mps(tiny_model())
         assert " BV BND       x" in text
+
+    def test_long_names_readable_by_highs(self, tmp_path):
+        # m = n = 10 gives the ten-character column y_10_10_10, which must
+        # stay apart from the row name that follows it.
+        from ballotcontrol import solve
+        from ballotcontrol.solver import _load_highs
+
+        core = _load_highs()
+        if core is None:
+            pytest.skip("this scipy has no HiGHS binding")
+        election = random_election(random.Random(10), 10, 10)
+        spec = ControlSpec("bucklin", "delete-candidates", "constructive", 2)
+        problem, _, _ = build_problem(election, spec)
+        text = export_mps(problem.model)
+        assert "    y_10_10_10 r" in text
+        path = tmp_path / "bucklin.mps"
+        path.write_text(text)
+        highs = core._Highs()
+        highs.setOptionValue("output_flag", False)
+        assert highs.readModel(str(path)) == core.HighsStatus.kOk
+        highs.run()
+        result = solve(problem.model)
+        assert result.status == "Optimal"
+        assert highs.getModelStatus() == core.HighsModelStatus.kOptimal
+        assert highs.getInfo().objective_function_value == pytest.approx(result.objective)

@@ -1,7 +1,12 @@
 import random
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
+from ballotcontrol import solver as solver_module
 from ballotcontrol import (
     LinearProgram,
     SolverConfig,
@@ -15,7 +20,11 @@ from ballotcontrol import (
     StrictProfile,
     ScoreMatrix,
 )
-from genutil import enumerate_binary_optimum, random_binary_program
+from genutil import (
+    enumerate_binary_optimum,
+    random_big_coefficient_program,
+    random_binary_program,
+)
 
 
 def box_model():
@@ -62,15 +71,22 @@ class TestLpRelaxation:
         with pytest.raises(ValueError):
             solve_lp_relaxation(model)
 
-    def test_engines_agree(self):
+    def test_warm_and_cold_agree(self, monkeypatch):
         rng = random.Random(21)
-        for _ in range(10):
-            model = random_binary_program(rng, max_vars=8, max_rows=6)
-            dense = solve_lp_relaxation(model, engine="dense")
-            highs = solve_lp_relaxation(model, engine="highs")
-            assert dense.status == highs.status
-            if dense.status == "optimal":
-                assert dense.value == pytest.approx(highs.value, abs=1e-6)
+        models = [random_binary_program(rng, max_vars=8, max_rows=6) for _ in range(10)]
+        warm = [solve_lp_relaxation(model) for model in models]
+        monkeypatch.setattr(solver_module, "_load_highs", lambda: None)
+        cold = [solve_lp_relaxation(model) for model in models]
+        for w, c in zip(warm, cold):
+            assert w.status == c.status
+            if w.status == "optimal":
+                assert w.value == pytest.approx(c.value, abs=1e-6)
+
+    def test_contradictory_fixing_is_infeasible(self, monkeypatch):
+        fixings = {"x": (0.75, 0.25)}
+        assert solve_lp_relaxation(box_model(), fixings=fixings).status == "infeasible"
+        monkeypatch.setattr(solver_module, "_load_highs", lambda: None)
+        assert solve_lp_relaxation(box_model(), fixings=fixings).status == "infeasible"
 
 
 class TestSolve:
@@ -163,15 +179,79 @@ class TestSolve:
             SolverConfig(feasibility_tol=0)
         with pytest.raises(ValueError):
             SolverConfig(node_limit=0)
-        with pytest.raises(ValueError):
-            SolverConfig(lp_engine="unknown-backend")
 
-    def test_forced_engines_agree_on_ip(self):
+    def test_warm_and_cold_agree_on_ip(self, monkeypatch):
         rng = random.Random(55)
-        for _ in range(10):
-            model = random_binary_program(rng, max_vars=10, max_rows=8)
-            dense = solve(model, SolverConfig(lp_engine="dense"))
-            highs = solve(model, SolverConfig(lp_engine="highs"))
-            assert dense.status == highs.status
-            if dense.status == "Optimal":
-                assert dense.objective == highs.objective
+        models = [random_binary_program(rng, max_vars=10, max_rows=8) for _ in range(10)]
+        warm = [solve(model) for model in models]
+        monkeypatch.setattr(solver_module, "_load_highs", lambda: None)
+        cold = [solve(model) for model in models]
+        for w, c in zip(warm, cold):
+            assert w.status == c.status
+            if w.status == "Optimal":
+                assert w.objective == c.objective
+
+    def test_near_integral_point_failing_rows_is_branched(self):
+        # The root LP point has x0 = 0.999998: near-integral, but rounding
+        # it up breaks the second row; (0, 1, 0) is feasible.
+        model = LinearProgram("near-integral")
+        for i in range(3):
+            model.add_variable(f"x{i}", "binary")
+        model.set_objective("max", [("x0", 1), ("x1", 1), ("x2", 1)])
+        model.add_constraint([("x0", -10**6), ("x1", -10**6), ("x2", 10**6)], "<=", -1)
+        model.add_constraint([("x0", 1000001), ("x2", 1)], "<=", 10**6)
+        result = solve(model)
+        assert result.status == "Optimal"
+        assert result.objective == 1
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_big_coefficients_match_enumeration(self, seed):
+        rng = random.Random(9000 + seed)
+        for _ in range(40):
+            model = random_big_coefficient_program(rng)
+            result = solve(model)
+            status, best = enumerate_binary_optimum(model)
+            assert result.status == status
+            if status == "Optimal":
+                assert result.objective == best
+
+
+def test_solve_leaves_scipy_optimize_unimported():
+    """Loading the HiGHS binding must not run `scipy.optimize`'s package
+    init (a set-up cost in every fresh process); a later import of it must
+    reuse the loaded binding, and its HiGHS entry points keep working."""
+    src = Path(solver_module.__file__).resolve().parent.parent
+    script = textwrap.dedent(
+        """
+        import sys
+        sys.path.insert(0, sys.argv[1])
+        from ballotcontrol import LinearProgram, solve
+        from ballotcontrol.solver import _load_highs
+
+        model = LinearProgram("tiny")
+        model.add_variable("x", "binary")
+        model.add_variable("y", "binary")
+        model.set_objective("max", [("x", 2), ("y", 3)])
+        model.add_constraint([("x", 1), ("y", 1)], "<=", 1)
+        result = solve(model)
+        assert (result.status, result.objective) == ("Optimal", 3), result
+        assert "scipy.optimize" not in sys.modules
+        core = _load_highs()
+        if core is None:
+            print("no-binding")
+            raise SystemExit
+        from scipy.optimize import linprog, milp
+        from scipy.optimize._highspy._core import _Highs
+        assert _Highs is core._Highs
+        assert linprog([-1.0], bounds=[(0, 2)], method="highs").x[0] == 2.0
+        assert milp([-1.0], bounds=(0, 2.5), integrality=[1]).x[0] == 2.0
+        print("ok")
+        """
+    )
+    run = subprocess.run(
+        [sys.executable, "-c", script, str(src)], capture_output=True, text=True, timeout=120
+    )
+    assert run.returncode == 0, run.stderr
+    if run.stdout.strip() == "no-binding":
+        pytest.skip("this scipy has no HiGHS binding")
+    assert run.stdout.strip() == "ok"
