@@ -68,7 +68,6 @@ from .encoders import (
     encode_mme,
     encode_pe,
     encode_re,
-    make_destructive,
 )
 from .solver import (
     LpOutcome,

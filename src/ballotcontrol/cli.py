@@ -7,7 +7,8 @@ Subcommands: `winner` (winner determination on a preference file),
 report).
 
 Exit codes: 0 success (an Infeasible control answer is a success),
-1 verify mismatch, 2 unreadable input, 3 rule/profile mismatch,
+1 verify mismatch, 2 unreadable input or invalid arguments (a time limit
+must be a positive number of seconds), 3 rule/profile mismatch,
 4 unsupported (rule, action) pair, 5 oracle enumeration limit exceeded.
 
 Inputs ending in .csv are read as score matrices (first row the voter
@@ -165,13 +166,10 @@ def cmd_control(args) -> int:
             "bound": result.bound,
         },
     }
-    if args.out_lp or args.out_mps:
-        problem = outcome.problem
-        if problem is not None:
-            if args.out_lp:
-                Path(args.out_lp).write_text(export_lp(problem.model))
-            if args.out_mps:
-                Path(args.out_mps).write_text(export_mps(problem.model))
+    if args.out_lp:
+        Path(args.out_lp).write_text(export_lp(outcome.problem.model))
+    if args.out_mps:
+        Path(args.out_mps).write_text(export_mps(outcome.problem.model))
     _emit(payload)
     return EXIT_OK
 
@@ -234,6 +232,7 @@ def cmd_bench(args) -> int:
                 }
             )
         except (CliError, ValueError, TypeError) as exc:
+            print(f"error: {path.name}: {exc}", file=sys.stderr)
             rows.append(
                 {
                     "file": path.name,
@@ -243,7 +242,6 @@ def cmd_bench(args) -> int:
                     "objective": "",
                     "wall_time": "",
                     "nodes": "",
-                    "error": str(exc),
                 }
             )
     with open(args.out, "w", newline="") as handle:
@@ -288,6 +286,14 @@ def cmd_bench(args) -> int:
     return EXIT_OK
 
 
+def _positive_seconds(text: str) -> float:
+    """argparse type of a time limit: a number of seconds above zero."""
+    value = float(text)
+    if not value > 0:
+        raise argparse.ArgumentTypeError(f"must be a positive number of seconds, got {text!r}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ballotcontrol",
@@ -307,7 +313,7 @@ def _build_parser() -> argparse.ArgumentParser:
     control.add_argument("--target", required=True, type=int)
     control.add_argument("--input", required=True)
     control.add_argument("--engine", default="builtin", choices=("builtin", "export-only"))
-    control.add_argument("--time-limit", type=float, default=None)
+    control.add_argument("--time-limit", type=_positive_seconds, default=None)
     control.add_argument("--out-lp", default=None)
     control.add_argument("--out-mps", default=None)
     control.set_defaults(func=cmd_control)
@@ -324,7 +330,7 @@ def _build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--suite", required=True)
     bench.add_argument("--rule", required=True, choices=RULES)
     bench.add_argument("--action", required=True, choices=ACTIONS)
-    bench.add_argument("--timeout", type=float, default=None)
+    bench.add_argument("--timeout", type=_positive_seconds, default=None)
     bench.add_argument("--out", required=True)
     bench.set_defaults(func=cmd_bench)
     return parser

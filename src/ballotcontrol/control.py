@@ -19,7 +19,7 @@ from .solver import SolveResult, SolverConfig, solve
 class ControlOutcome:
     solution: ControlSolution
     solve_result: SolveResult
-    problem: Optional[EncodedProblem]
+    problem: EncodedProblem
 
 
 def build_problem(election: Election, spec: ControlSpec):
@@ -33,37 +33,9 @@ def solve_control(
     election: Election, spec: ControlSpec, config: Optional[SolverConfig] = None
 ) -> ControlOutcome:
     """Solve a control instance and verify the answer on the restricted
-    election. Kept/deleted sets are reported in original indices.
-
-    Single-candidate elections are decided upfront for the rules whose
-    encoders need a rival (the target wins vacuously, so constructive
-    control keeps everything and destructive control is impossible).
-    """
+    election. Kept/deleted sets are reported in original indices."""
     if spec.target > election.m:
         raise ValueError(f"target {spec.target} is not a candidate index (m={election.m})")
-    if election.m == 1 and spec.rule in ("condorcet", "maximin"):
-        if spec.mode == "constructive":
-            kept = tuple(range(1, election.n + 1))
-            solution = ControlSolution(
-                kept,
-                (),
-                len(kept),
-                "Optimal",
-                {
-                    "rule": spec.rule,
-                    "mode": spec.mode,
-                    "target": spec.target,
-                    "winner": 1,
-                    "ok": True,
-                },
-            )
-            return ControlOutcome(
-                solution, SolveResult("Optimal", None, len(kept), len(kept), 0, 0.0), None
-            )
-        solution = ControlSolution((), (), None, "Infeasible", None)
-        return ControlOutcome(
-            solution, SolveResult("Infeasible", None, None, None, 0, 0.0), None
-        )
     problem, norm_election, norm_spec = build_problem(election, spec)
     result = solve(problem.model, config)
     if result.status == "Optimal":

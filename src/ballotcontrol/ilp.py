@@ -135,16 +135,6 @@ class LinearProgram:
     def objective_value(self, values: Mapping[str, Number]) -> Number:
         return sum(coef * values[name] for name, coef in self.objective)
 
-    def without_constraints(self, drop) -> "LinearProgram":
-        """Copy sharing the variables, keeping constraints where not drop(c)."""
-        out = LinearProgram(self.name)
-        out.variables = list(self.variables)
-        out._index = dict(self._index)
-        out.constraints = [c for c in self.constraints if not drop(c)]
-        out.objective_sense = self.objective_sense
-        out.objective = self.objective
-        return out
-
     def expression_box_max(self, terms) -> Number:
         """Largest value the expression can take over the variable box."""
         total = 0

@@ -5,6 +5,8 @@ code paths they check."""
 from __future__ import annotations
 
 import numpy as np
+from scipy.optimize import Bounds, LinearConstraint, milp
+from scipy.sparse import csr_matrix
 
 from ballotcontrol import Election, LinearProgram
 
@@ -121,3 +123,36 @@ def models_equal(a: LinearProgram, b: LinearProgram) -> bool:
     if rows_a != rows_b:
         return False
     return (a.objective_sense, a.objective) == (b.objective_sense, b.objective)
+
+
+def milp_optimum(model: LinearProgram):
+    """`scipy.optimize.milp` (HiGHS MIP) on a maximizing model:
+    ('Optimal', value) or ('Infeasible', None)."""
+    assert model.objective_sense == "max"
+    index = {v.name: i for i, v in enumerate(model.variables)}
+    rows, cols, data, lower, upper = [], [], [], [], []
+    for r, constraint in enumerate(model.constraints):
+        for name, coef in constraint.terms:
+            rows.append(r)
+            cols.append(index[name])
+            data.append(float(coef))
+        rhs = float(constraint.rhs)
+        lower.append(rhs if constraint.sense in (">=", "=") else -np.inf)
+        upper.append(rhs if constraint.sense in ("<=", "=") else np.inf)
+    cost = np.zeros(len(index))
+    for name, coef in model.objective:
+        cost[index[name]] -= float(coef)
+    matrix = csr_matrix((data, (rows, cols)), shape=(len(model.constraints), len(index)))
+    result = milp(
+        cost,
+        constraints=LinearConstraint(matrix, lower, upper) if model.constraints else None,
+        bounds=Bounds(
+            [float(v.lower) for v in model.variables],
+            [float(v.upper) for v in model.variables],
+        ),
+        integrality=np.array([v.kind != "continuous" for v in model.variables], dtype=int),
+    )
+    if result.status == 2:
+        return "Infeasible", None
+    assert result.status == 0, result.message
+    return "Optimal", int(round(-result.fun))

@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from ballotcontrol import parse_lp
 from ballotcontrol.cli import main
 
 WORKED_SOC = """\
@@ -31,6 +32,8 @@ CYCLE_SOC = """\
 TIED_TOC = "3\n1,A\n2,B\n3,C\n2,2,2\n1,1,2,3\n1,3,{1,2}\n"
 
 SCORES_CSV = "3\n3,3,0\n2,1,1\n1,2,2\n0,0,3\n"
+
+SINGLE_CANDIDATE_SOI = "# NUMBER ALTERNATIVES: 1\n2: 1\n"
 
 
 @pytest.fixture
@@ -169,6 +172,60 @@ class TestControl:
         assert code == 3
 
 
+    def test_time_limit_must_be_positive(self, capsys, soc_file):
+        for limit in ("0", "-1"):
+            with pytest.raises(SystemExit) as exit_info:
+                main(
+                    [
+                        "control", "--rule", "condorcet", "--action", "delete-voters",
+                        "--target", "1", "--input", soc_file, "--time-limit", limit,
+                    ]
+                )
+            assert exit_info.value.code == 2
+            assert "positive" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("rule", ["condorcet", "maximin"])
+class TestSingleCandidate:
+    @pytest.fixture
+    def single_file(self, tmp_path):
+        path = tmp_path / "single.soi"
+        path.write_text(SINGLE_CANDIDATE_SOI)
+        return str(path)
+
+    def test_export_only(self, capsys, tmp_path, single_file, rule):
+        lp_path = tmp_path / "model.lp"
+        mps_path = tmp_path / "model.mps"
+        code, out, _ = run(
+            capsys,
+            "control", "--rule", rule, "--action", "delete-voters",
+            "--target", "1", "--input", single_file, "--engine", "export-only",
+            "--out-lp", str(lp_path), "--out-mps", str(mps_path),
+        )
+        assert code == 0
+        assert json.loads(out)["status"] == "exported"
+        model = parse_lp(lp_path.read_text())
+        assert [v.name for v in model.variables][:2] == ["x_1", "x_2"]
+        assert "ENDATA" in mps_path.read_text()
+
+    @pytest.mark.parametrize(
+        "mode,status,objective",
+        [("constructive", "Optimal", 2), ("destructive", "Infeasible", None)],
+    )
+    def test_solve_writes_lp(self, capsys, tmp_path, single_file, rule, mode, status, objective):
+        lp_path = tmp_path / "model.lp"
+        code, out, _ = run(
+            capsys,
+            "control", "--rule", rule, "--action", "delete-voters", "--mode", mode,
+            "--target", "1", "--input", single_file, "--out-lp", str(lp_path),
+        )
+        assert code == 0
+        payload = json.loads(out)
+        assert (payload["status"], payload["objective"]) == (status, objective)
+        tags = [c.tag for c in parse_lp(lp_path.read_text()).constraints]
+        assert tags == ([] if mode == "constructive" else ["dest:impossible"])
+
+
 class TestVerify:
     def test_match(self, capsys, soc_file):
         code, out, _ = run(
@@ -220,3 +277,32 @@ class TestBench:
         summary = {r[0]: r for r in rows if r and r[0] in labels}
         assert summary["1-9"][1] == "2"
         assert summary["10-99"][1] == "0"
+
+    def test_bench_timeout_must_be_positive(self, capsys, tmp_path):
+        suite = tmp_path / "suite"
+        suite.mkdir()
+        (suite / "a.soc").write_text(WORKED_SOC)
+        with pytest.raises(SystemExit) as exit_info:
+            main(
+                [
+                    "bench", "--suite", str(suite), "--rule", "condorcet",
+                    "--action", "delete-voters", "--timeout", "0",
+                    "--out", str(tmp_path / "report.csv"),
+                ]
+            )
+        assert exit_info.value.code == 2
+        assert not (tmp_path / "report.csv").exists()
+
+    def test_bench_error_message_on_stderr(self, capsys, tmp_path):
+        suite = tmp_path / "suite"
+        suite.mkdir()
+        (suite / "c.soc").write_text("garbage")
+        out_path = tmp_path / "report.csv"
+        code, _, err = run(
+            capsys,
+            "bench", "--suite", str(suite), "--rule", "condorcet",
+            "--action", "delete-voters", "--out", str(out_path),
+        )
+        assert code == 0
+        assert "c.soc" in err and "cannot parse" in err
+        assert out_path.read_text().splitlines()[1] == "c.soc,,,Error,,,"

@@ -21,10 +21,9 @@ from ballotcontrol import (
     encode_mme,
     encode_pe,
     encode_re,
-    make_destructive,
     solve,
 )
-from genutil import enumerate_binary_optimum, random_profile
+from genutil import enumerate_binary_optimum, models_equal, random_profile
 
 WORKED_ROW_MATRIX = ((1, 1, 0), (1, 1, 0), (1, 1, 0))
 
@@ -133,9 +132,9 @@ class TestCondorcetEncoder:
         profile = StrictProfile(((1, 2, 3), (2, 3, 1), (3, 1, 2)))
         assert optimum(encode_ce(profile)) == ("Optimal", 1)
 
-    def test_rejects_single_candidate(self):
-        with pytest.raises(ValueError):
-            encode_ce(StrictProfile(((1,),)))
+    def test_single_candidate_keeps_everyone(self):
+        profile = StrictProfile(((1,), (1,)))
+        assert optimum(encode_ce(profile)) == ("Optimal", 2)
 
 
 class TestPluralityEncoder:
@@ -176,9 +175,9 @@ class TestMaximinEncoder:
         profile = StrictProfile(((2, 3, 1), (3, 2, 1), (2, 3, 1)))
         assert optimum(encode_mme(profile)) == ("Infeasible", None)
 
-    def test_rejects_single_candidate(self):
-        with pytest.raises(ValueError):
-            encode_mme(StrictProfile(((1,),)))
+    def test_single_candidate_keeps_everyone(self):
+        profile = StrictProfile(((1,), (1,), (1,)))
+        assert optimum(encode_mme(profile)) == ("Optimal", 3)
 
 
 class TestBucklinVoterEncoder:
@@ -223,47 +222,63 @@ class TestBucklinCandidateEncoder:
         assert found_feasible
 
 
+ENCODERS = (encode_re, encode_ce, encode_pe, encode_mme, encode_bev, encode_bec)
+
+
 class TestMakeDestructive:
-    def test_rejects_destructive_input(self, worked_profile):
-        problem = make_destructive(encode_ce(worked_profile))
-        with pytest.raises(ValueError):
-            make_destructive(problem)
+    """Destructive programs, which every encoder builds for mode="destructive"."""
+
+    @pytest.mark.parametrize("encoder", ENCODERS, ids=lambda f: f.__name__)
+    def test_rejects_unknown_mode(self, encoder, worked_profile):
+        payload = ScoreMatrix(((1, 0), (0, 1))) if encoder is encode_re else worked_profile
+        with pytest.raises(ValueError, match="unknown mode"):
+            encoder(payload, "neutral")
 
     def test_re_target_already_loses(self):
         # target never wins regardless, so nobody needs to be deleted
-        problem = make_destructive(encode_re(ScoreMatrix(((0, 0), (1, 1)))))
+        problem = encode_re(ScoreMatrix(((0, 0), (1, 1))), "destructive")
         assert optimum(problem) == ("Optimal", 2)
 
     def test_re_tie_by_deleting_one_voter(self):
-        problem = make_destructive(encode_re(ScoreMatrix(((1, 1), (1, 0)))))
+        problem = encode_re(ScoreMatrix(((1, 1), (1, 0))), "destructive")
         assert optimum(problem) == ("Optimal", 1)
 
     def test_ce_cycle_target_not_winner(self):
         profile = StrictProfile(((1, 2, 3), (2, 3, 1), (3, 1, 2)))
-        problem = make_destructive(encode_ce(profile))
+        problem = encode_ce(profile, "destructive")
         assert optimum(problem) == ("Optimal", 3)
 
     def test_re_single_candidate_impossible(self):
-        problem = make_destructive(encode_re(ScoreMatrix(((2, 1),))))
+        problem = encode_re(ScoreMatrix(((2, 1),)), "destructive")
+        assert optimum(problem) == ("Infeasible", None)
+
+    def test_ce_single_candidate_impossible(self):
+        problem = encode_ce(StrictProfile(((1,), (1,))), "destructive")
+        assert [c.tag for c in problem.model.constraints] == ["dest:impossible"]
+        assert optimum(problem) == ("Infeasible", None)
+
+    def test_mme_single_candidate_impossible(self):
+        problem = encode_mme(StrictProfile(((1,), (1,))), "destructive")
+        assert [c.tag for c in problem.model.constraints] == ["dest:impossible"]
         assert optimum(problem) == ("Infeasible", None)
 
     def test_bev_single_candidate_impossible(self):
-        problem = make_destructive(encode_bev(StrictProfile(((1,), (1,)))))
+        problem = encode_bev(StrictProfile(((1,), (1,))), "destructive")
         assert optimum(problem) == ("Infeasible", None)
 
     def test_bec_single_candidate_impossible(self):
-        problem = make_destructive(encode_bec(StrictProfile(((1,),))))
+        problem = encode_bec(StrictProfile(((1,),)), "destructive")
         assert optimum(problem) == ("Infeasible", None)
 
     def test_pe_single_candidate_impossible(self):
-        problem = make_destructive(encode_pe(StrictProfile(((1,), (1,)))))
+        problem = encode_pe(StrictProfile(((1,), (1,))), "destructive")
         assert optimum(problem) == ("Infeasible", None)
 
     def test_destructive_matches_enumeration_on_small_bev(self):
         rng = random.Random(99)
         for _ in range(6):
             profile = StrictProfile(tuple(random_profile(rng, rng.randint(1, 4), 3)))
-            problem = make_destructive(encode_bev(profile))
+            problem = encode_bev(profile, "destructive")
             assert optimum(problem) == enumerate_binary_optimum_mixed(problem.model)
 
 
@@ -305,7 +320,9 @@ class TestEncodeControlDispatch:
     def test_destructive_dispatch(self, worked_election):
         spec = ControlSpec("condorcet", "delete-voters", "destructive", 1)
         problem = encode_control(worked_election, spec)
-        assert problem.mode == "destructive"
+        expected = encode_ce(worked_election.preferences, "destructive")
+        assert models_equal(problem.model, expected.model)
+        assert problem.decision_vars == expected.decision_vars
 
 
 class TestDecode:
