@@ -7,8 +7,10 @@ Subcommands: `winner` (winner determination on a preference file),
 report).
 
 Exit codes: 0 success (an Infeasible control answer is a success),
-1 verify mismatch, 2 unreadable input or invalid arguments (a time limit
-must be a positive number of seconds), 3 rule/profile mismatch,
+1 verify mismatch, 2 unreadable input or output (a missing file, a
+directory, bytes that are not UTF-8) or invalid arguments (a time limit
+must be a positive number of seconds, a target a candidate index from 1),
+3 rule/profile mismatch,
 4 unsupported (rule, action) pair, 5 oracle enumeration limit exceeded.
 
 Inputs ending in .csv are read as score matrices (first row the voter
@@ -64,7 +66,10 @@ class CliError(Exception):
 
 
 def _read_election(path: str) -> Election:
-    text = Path(path).read_text()
+    try:
+        text = Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise CliError(EXIT_PARSE, f"cannot read {path}: {exc}") from exc
     if path.endswith(".csv"):
         return _parse_score_csv(text)
     try:
@@ -140,7 +145,7 @@ def cmd_winner(args) -> int:
 def cmd_control(args) -> int:
     spec = _control_spec(args)
     election = _election_for_rule(_read_election(args.input), args.rule)
-    if spec.target < 1 or spec.target > election.m:
+    if spec.target > election.m:
         raise CliError(EXIT_PROFILE, f"target {spec.target} is not a candidate index")
     if args.engine == "export-only":
         problem, _, _ = build_problem(election, spec)
@@ -177,7 +182,7 @@ def cmd_control(args) -> int:
 def cmd_verify(args) -> int:
     spec = _control_spec(args)
     election = _election_for_rule(_read_election(args.input), args.rule)
-    if spec.target < 1 or spec.target > election.m:
+    if spec.target > election.m:
         raise CliError(EXIT_PROFILE, f"target {spec.target} is not a candidate index")
     try:
         oracle = brute_force_control(election, spec, limit=VERIFY_LIMIT)
@@ -294,6 +299,17 @@ def _positive_seconds(text: str) -> float:
     return value
 
 
+def _positive_index(text: str) -> int:
+    """argparse type of a target: a candidate index from 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive candidate index, got {text!r}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ballotcontrol",
@@ -310,7 +326,7 @@ def _build_parser() -> argparse.ArgumentParser:
     control.add_argument("--rule", required=True, choices=RULES)
     control.add_argument("--action", required=True, choices=ACTIONS)
     control.add_argument("--mode", default="constructive", choices=MODES)
-    control.add_argument("--target", required=True, type=int)
+    control.add_argument("--target", required=True, type=_positive_index)
     control.add_argument("--input", required=True)
     control.add_argument("--engine", default="builtin", choices=("builtin", "export-only"))
     control.add_argument("--time-limit", type=_positive_seconds, default=None)
@@ -322,7 +338,7 @@ def _build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--rule", required=True, choices=RULES)
     verify.add_argument("--action", required=True, choices=ACTIONS)
     verify.add_argument("--mode", default="constructive", choices=MODES)
-    verify.add_argument("--target", required=True, type=int)
+    verify.add_argument("--target", required=True, type=_positive_index)
     verify.add_argument("--input", required=True)
     verify.set_defaults(func=cmd_verify)
 
@@ -343,7 +359,7 @@ def main(argv=None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except (TypeError, ValueError) as exc:

@@ -131,16 +131,10 @@ def _is_destructive(mode: str) -> bool:
     return mode == "destructive"
 
 
-def _voter_decision_vars(model: LinearProgram, n: int) -> tuple[str, ...]:
-    names = tuple(f"x_{j}" for j in range(1, n + 1))
-    for name in names:
-        model.add_variable(name, BINARY)
-    model.set_objective("max", tuple((name, 1) for name in names))
-    return names
-
-
-def _candidate_decision_vars(model: LinearProgram, m: int) -> tuple[str, ...]:
-    names = tuple(f"x_{i}" for i in range(1, m + 1))
+def _decision_vars(model: LinearProgram, count: int) -> tuple[str, ...]:
+    """The keep binaries x_1..x_count (voters or candidates) and the
+    objective that keeps as many as possible."""
+    names = tuple(f"x_{k}" for k in range(1, count + 1))
     for name in names:
         model.add_variable(name, BINARY)
     model.set_objective("max", tuple((name, 1) for name in names))
@@ -183,7 +177,7 @@ def encode_re(scores: ScoreMatrix, mode: str = "constructive") -> EncodedProblem
     destructive = _is_destructive(mode)
     m, n = scores.m, scores.n
     model = LinearProgram("range-control")
-    xs = _voter_decision_vars(model, n)
+    xs = _decision_vars(model, n)
     duels = [
         (i, tuple((xs[j], scores.scores[0][j] - scores.scores[i - 1][j]) for j in range(n)))
         for i in range(2, m + 1)
@@ -202,7 +196,7 @@ def encode_ce(profile: StrictProfile, mode: str = "constructive") -> EncodedProb
     m, n = profile.m, profile.n
     rows = dominance_row_matrix(profile) if m > 1 else ()
     model = LinearProgram("condorcet-control")
-    xs = _voter_decision_vars(model, n)
+    xs = _decision_vars(model, n)
     duels = [
         (i, tuple((xs[j], 2 * row[j] - 1) for j in range(n)))
         for i, row in enumerate(rows, start=2)
@@ -224,7 +218,7 @@ def encode_pe(profile: StrictProfile, mode: str = "constructive") -> EncodedProb
     m, n = profile.m, profile.n
     cube = dominance_cube(profile)
     model = LinearProgram("plurality-control")
-    xs = _candidate_decision_vars(model, m)
+    xs = _decision_vars(model, m)
     z = {
         (i, j): model.add_variable(f"z_{i}_{j}", BINARY)
         for i in range(1, m + 1)
@@ -275,7 +269,7 @@ def encode_mme(profile: StrictProfile, mode: str = "constructive") -> EncodedPro
     cube = dominance_cube(profile)
     name = "maximin-control-destructive" if destructive else "maximin-control"
     model = LinearProgram(name)
-    xs = _voter_decision_vars(model, n)
+    xs = _decision_vars(model, n)
     b = model.add_variable("b", INTEGER, 0 if destructive else 1, n)
 
     def backers(i, k, coef):
@@ -393,7 +387,7 @@ def encode_bev(profile: StrictProfile, mode: str = "constructive") -> EncodedPro
     m, n = profile.m, profile.n
     cube = bucklin_position_cube(profile)
     model = LinearProgram("bucklin-voter-control")
-    xs = _voter_decision_vars(model, n)
+    xs = _decision_vars(model, n)
     z = {
         (i, k): model.add_variable(f"z_{i}_{k}", BINARY)
         for i in range(1, m + 1)
@@ -434,7 +428,7 @@ def encode_bec(profile: StrictProfile, mode: str = "constructive") -> EncodedPro
     m, n = profile.m, profile.n
     cube = dominance_cube(profile)
     model = LinearProgram("bucklin-candidate-control")
-    xs = _candidate_decision_vars(model, m)
+    xs = _decision_vars(model, m)
     y = {
         (j, i, l): model.add_variable(f"y_{j}_{i}_{l}", BINARY)
         for j in range(1, n + 1)

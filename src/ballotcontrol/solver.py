@@ -18,7 +18,8 @@ counts.
 
 Incumbents are only accepted after an exact feasibility check of the
 rounded point, and the final incumbent is re-verified with
-`check_assignment` at the configured tolerances before it is returned.
+`check_assignment` at `FEASIBILITY_TOL` and `INTEGRALITY_TOL` before it is
+returned.
 """
 
 from __future__ import annotations
@@ -44,15 +45,10 @@ class SolverError(RuntimeError):
 
 @dataclass(frozen=True)
 class SolverConfig:
-    feasibility_tol: float = 1e-6
-    optimality_tol: float = 1e-6
-    integrality_tol: float = 1e-5
     node_limit: Optional[int] = None
     time_limit: Optional[float] = None
 
     def __post_init__(self):
-        if min(self.feasibility_tol, self.optimality_tol, self.integrality_tol) <= 0:
-            raise ValueError("tolerances must be positive")
         if self.node_limit is not None and self.node_limit < 1:
             raise ValueError("node limit must be positive")
         if self.time_limit is not None and self.time_limit <= 0:
@@ -91,14 +87,30 @@ def canonical_result(result: SolveResult) -> str:
 
 
 _TOL = 1e-9
+# Row violation accepted in an incumbent, objective gap at which a node is
+# cut off (for a non-integral objective), and distance from an integer at
+# which an LP value counts as integral.
+FEASIBILITY_TOL = 1e-6
+OPTIMALITY_TOL = 1e-6
+INTEGRALITY_TOL = 1e-5
 
 
 class _StandardForm:
-    """Arrays shared by every LP solve of one model: rows, bounds and the
-    objective (internally always maximized)."""
+    """Arrays shared by every LP solve of one model.
+
+    The rows are one CSR `matrix` with `row_lower <= matrix @ x <= row_upper`,
+    where a side the row does not bound is infinite: a `<=` row has
+    `row_lower = -inf`, a `>=` row `row_upper = +inf`, and an `=` row its
+    right-hand side on both. HiGHS gets the rows in this two-sided form;
+    `le_rows` writes them once more in the one-sided form `A @ x <= b` that
+    propagation and the `linprog` fallback use. The columns have finite
+    boxes `lower`/`upper`, and `obj` is the objective, internally always
+    maximized.
+    """
 
     def __init__(self, model: LinearProgram):
-        self.model = model
+        from scipy.sparse import csr_matrix
+
         self.names = [v.name for v in model.variables]
         self.ncols = len(self.names)
         if self.ncols == 0:
@@ -114,152 +126,113 @@ class _StandardForm:
         for name, coef in model.objective:
             obj[index[name]] += float(coef)
         self.obj = self.sign * obj
-        self.nrows = len(model.constraints)
-        self.row_idx = []
-        self.row_coef = []
-        self.senses = []
-        rhs = np.zeros(self.nrows)
-        for r, constraint in enumerate(model.constraints):
-            idx = np.array([index[name] for name, _ in constraint.terms], dtype=np.int64)
-            coef = np.array([float(c) for _, c in constraint.terms])
-            self.row_idx.append(idx)
-            self.row_coef.append(coef)
-            self.senses.append(constraint.sense)
-            rhs[r] = float(constraint.rhs)
-        self.rhs = rhs
-        self._csr = None
+        rows = model.constraints
+        self.nrows = len(rows)
+        terms = [term for c in rows for term in c.terms]
+        self.matrix = csr_matrix(
+            (
+                np.fromiter((coef for _, coef in terms), float, len(terms)),
+                np.fromiter((index[name] for name, _ in terms), np.int64, len(terms)),
+                np.cumsum([0] + [len(c.terms) for c in rows]),
+            ),
+            shape=(self.nrows, self.ncols),
+        )
+        self.matrix.eliminate_zeros()
+        bound = np.array([float(c.rhs) for c in rows])
+        self.row_lower = np.where([c.sense != "<=" for c in rows], bound, -np.inf)
+        self.row_upper = np.where([c.sense != ">=" for c in rows], bound, np.inf)
         self._prop = None
-        self._sense_le = np.array([s == "<=" for s in self.senses], dtype=bool)
-        self._sense_ge = np.array([s == ">=" for s in self.senses], dtype=bool)
-        self._sense_eq = np.array([s == "=" for s in self.senses], dtype=bool)
-
-    def csr(self):
-        if self._csr is None:
-            from scipy.sparse import csr_matrix
-
-            data = np.concatenate(self.row_coef) if self.nrows else np.zeros(0)
-            cols = (
-                np.concatenate(self.row_idx)
-                if self.nrows
-                else np.zeros(0, dtype=np.int64)
-            )
-            ptr = np.zeros(self.nrows + 1, dtype=np.int64)
-            for r in range(self.nrows):
-                ptr[r + 1] = ptr[r] + len(self.row_idx[r])
-            matrix = csr_matrix((data, cols, ptr), shape=(self.nrows, self.ncols))
-            matrix.eliminate_zeros()
-            self._csr = matrix
-        return self._csr
-
-    def activities(self, x: np.ndarray) -> np.ndarray:
-        if self.nrows == 0:
-            return np.zeros(0)
-        return self.csr() @ x
 
     def feasible_point(self, x: np.ndarray, tol: float) -> bool:
-        acts = self.activities(x)
-        if np.any(acts[self._sense_le] > self.rhs[self._sense_le] + tol):
-            return False
-        if np.any(acts[self._sense_ge] < self.rhs[self._sense_ge] - tol):
-            return False
-        if np.any(np.abs(acts[self._sense_eq] - self.rhs[self._sense_eq]) > tol):
-            return False
-        return True
+        acts = self.matrix @ x
+        return not (
+            np.any(acts > self.row_upper + tol) or np.any(acts < self.row_lower - tol)
+        )
+
+    def le_rows(self):
+        """The rows as `A @ x <= b`: `[matrix[bounded above]; -matrix[bounded
+        below]]` with `b = [row_upper; -row_lower]` on the same rows, so a
+        `>=` row is negated and an `=` row appears both ways."""
+        from scipy.sparse import vstack
+
+        above = np.isfinite(self.row_upper)
+        below = np.isfinite(self.row_lower)
+        rows = vstack((self.matrix[above], -self.matrix[below]), format="csr")
+        return rows, np.concatenate((self.row_upper[above], -self.row_lower[below]))
 
     def propagation_data(self):
+        """`le_rows` split for `_propagate`: the right-hand side, the
+        positive and the negative entries as two matrices of the same
+        shape, and the positive and the negative entries grouped by
+        column."""
         if self._prop is None:
-            matrix = self.csr()
+            matrix, b_ub = self.le_rows()
             nnz_rows = np.repeat(
-                np.arange(self.nrows, dtype=np.int64), np.diff(matrix.indptr)
+                np.arange(matrix.shape[0], dtype=np.int64), np.diff(matrix.indptr)
             )
             nnz_cols = matrix.indices.astype(np.int64)
-            nnz_coef = matrix.data
-            pos = nnz_coef > 0
-            row_le = self._sense_le | self._sense_eq
-            row_ge = self._sense_ge | self._sense_eq
-            in_le = row_le[nnz_rows]
-            in_ge = row_ge[nnz_rows]
-            data = matrix.data
+            pos = matrix.data > 0
             pos_matrix = matrix.copy()
-            pos_matrix.data = np.where(data > 0, data, 0.0)
+            pos_matrix.data = np.where(pos, matrix.data, 0.0)
             neg_matrix = matrix.copy()
-            neg_matrix.data = np.where(data < 0, data, 0.0)
+            neg_matrix.data = np.where(pos, 0.0, matrix.data)
 
             def grouped(sel):
                 # entries sorted by column so per-pass candidate bounds can
                 # use segment reductions instead of slow scatter-min
                 idx = np.nonzero(sel)[0]
-                order = np.argsort(nnz_cols[idx], kind="stable")
-                idx = idx[order]
+                idx = idx[np.argsort(nnz_cols[idx], kind="stable")]
                 cols = nnz_cols[idx]
+                starts = idx
                 if idx.size:
                     starts = np.nonzero(np.r_[True, cols[1:] != cols[:-1]])[0]
-                    unique_cols = cols[starts]
-                else:
-                    starts = np.zeros(0, dtype=np.int64)
-                    unique_cols = np.zeros(0, dtype=np.int64)
-                return nnz_rows[idx], cols, nnz_coef[idx], starts, unique_cols
+                return nnz_rows[idx], cols, matrix.data[idx], starts, cols[starts]
 
-            cases = (
-                grouped(in_le & pos),  # upper bounds from <= rows
-                grouped(in_ge & ~pos),  # upper bounds from >= rows
-                grouped(in_le & ~pos),  # lower bounds from <= rows
-                grouped(in_ge & pos),  # lower bounds from >= rows
-            )
-            self._prop = (row_le, row_ge, pos_matrix, neg_matrix, cases)
+            self._prop = (b_ub, pos_matrix, neg_matrix, grouped(pos), grouped(~pos))
         return self._prop
 
 
-def _propagate(sf: _StandardForm, lower, upper, int_round=True, max_passes=50) -> bool:
+def _propagate(sf: _StandardForm, lower, upper) -> bool:
     """Feasibility-based bound tightening (the allowed presolve).
 
-    Repeatedly derives implied variable bounds from row activity ranges,
-    rounding bounds of integral variables to integers, until a fixpoint.
-    Tightens `lower`/`upper` in place; returns False when the node is
-    proven infeasible. Preserves every integral-feasible point, so node
-    dual bounds stay valid.
+    Works on the rows in the one form `a·x <= b` (`_StandardForm.le_rows`):
+    a `>=` row is negated and an `=` row appears both ways, so the minimum
+    activity of each row is the only activity bound needed, and its slack
+    `b - minact` bounds every variable of the row. A positive `a_j` caps
+    `x_j` from above at `lower_j + slack / a_j`, a negative one from below
+    at `upper_j + slack / a_j`. Negating a row is exact in floating point,
+    so this derives bit for bit the bounds that the maximum activity of the
+    `>=` rows would. Bounds of integral variables are rounded to integers,
+    and passes repeat until a fixpoint, for at most 50 passes. Tightens
+    `lower`/`upper` in place; returns False when the node is proven
+    infeasible. Preserves every integral-feasible point, so node dual
+    bounds stay valid.
     """
     if sf.nrows == 0:
         return not np.any(lower > upper + _TOL)
-    row_le, row_ge, pos_matrix, neg_matrix, cases = sf.propagation_data()
-    up_le, up_ge, lo_le, lo_ge = cases
+    b_ub, pos_matrix, neg_matrix, caps_above, caps_below = sf.propagation_data()
     integral = sf.integral
     if np.any(lower > upper + _TOL):
         return False
-    for _ in range(max_passes):
+    for _ in range(50):
         minact = pos_matrix @ lower + neg_matrix @ upper
-        maxact = pos_matrix @ upper + neg_matrix @ lower
-        if np.any(row_le & (minact > sf.rhs + 1e-7)):
+        if np.any(minact > b_ub + 1e-7):
             return False
-        if np.any(row_ge & (maxact < sf.rhs - 1e-7)):
-            return False
-        slack = sf.rhs - minact
-        surplus = maxact - sf.rhs
+        slack = b_ub - minact
         new_upper = upper.copy()
         new_lower = lower.copy()
-        rows, cols, coef, starts, ucols = up_le
+        rows, cols, coef, starts, ucols = caps_above
         if ucols.size:
             cand = lower[cols] + slack[rows] / coef
             seg = np.minimum.reduceat(cand, starts)
             new_upper[ucols] = np.minimum(new_upper[ucols], seg)
-        rows, cols, coef, starts, ucols = up_ge
-        if ucols.size:
-            cand = lower[cols] - surplus[rows] / coef
-            seg = np.minimum.reduceat(cand, starts)
-            new_upper[ucols] = np.minimum(new_upper[ucols], seg)
-        rows, cols, coef, starts, ucols = lo_le
+        rows, cols, coef, starts, ucols = caps_below
         if ucols.size:
             cand = upper[cols] + slack[rows] / coef
             seg = np.maximum.reduceat(cand, starts)
             new_lower[ucols] = np.maximum(new_lower[ucols], seg)
-        rows, cols, coef, starts, ucols = lo_ge
-        if ucols.size:
-            cand = upper[cols] - surplus[rows] / coef
-            seg = np.maximum.reduceat(cand, starts)
-            new_lower[ucols] = np.maximum(new_lower[ucols], seg)
-        if int_round:
-            new_upper[integral] = np.floor(new_upper[integral] + 1e-6)
-            new_lower[integral] = np.ceil(new_lower[integral] - 1e-6)
+        new_upper[integral] = np.floor(new_upper[integral] + 1e-6)
+        new_lower[integral] = np.ceil(new_lower[integral] - 1e-6)
         np.minimum(upper, new_upper, out=new_upper)
         np.maximum(lower, new_lower, out=new_lower)
         if np.any(new_lower > new_upper + 1e-9):
@@ -320,14 +293,12 @@ def _lp_solver(sf: _StandardForm):
     """
     core = _load_highs()
     if core is None:
-        return lambda lower, upper: _lp_highs(sf, lower, upper)
+        return _lp_highs(sf)
     highs = core._Highs()
     highs.setOptionValue("output_flag", False)
-    matrix = sf.csr().tocsc()
+    matrix = sf.matrix.tocsc()
     matrix.sum_duplicates()
     matrix.eliminate_zeros()
-    row_lower = np.where(sf._sense_le, -np.inf, sf.rhs)
-    row_upper = np.where(sf._sense_ge, np.inf, sf.rhs)
     status = highs.passModel(
         sf.ncols,
         sf.nrows,
@@ -338,8 +309,8 @@ def _lp_solver(sf: _StandardForm):
         -sf.obj,
         sf.lower,
         sf.upper,
-        row_lower,
-        row_upper,
+        sf.row_lower,
+        sf.row_upper,
         matrix.indptr.astype(np.int32),
         matrix.indices.astype(np.int32),
         matrix.data,
@@ -366,52 +337,31 @@ def _lp_solver(sf: _StandardForm):
     return lp
 
 
-def _lp_highs(sf: _StandardForm, lower, upper):
-    """Cold LP relaxation through `scipy.optimize.linprog`, for a scipy
-    without the HiGHS binding `_lp_solver` uses."""
+def _lp_highs(sf: _StandardForm):
+    """`_lp_solver` through a cold `scipy.optimize.linprog` per LP, on the
+    rows of `_StandardForm.le_rows`, for a scipy without the HiGHS binding."""
     from scipy.optimize import linprog
 
-    if np.any(lower > upper + _TOL):
-        return "infeasible", None, None
-    if not hasattr(sf, "_highs_parts"):
-        le = np.nonzero(sf._sense_le)[0]
-        ge = np.nonzero(sf._sense_ge)[0]
-        eq = np.nonzero(sf._sense_eq)[0]
-        matrix = sf.csr()
-        a_ub = b_ub = a_eq = b_eq = None
-        if le.size or ge.size:
-            from scipy.sparse import vstack
+    a_ub, b_ub = sf.le_rows()
 
-            blocks = []
-            rhs_parts = []
-            if le.size:
-                blocks.append(matrix[le])
-                rhs_parts.append(sf.rhs[le])
-            if ge.size:
-                blocks.append(-matrix[ge])
-                rhs_parts.append(-sf.rhs[ge])
-            a_ub = vstack(blocks).tocsr() if len(blocks) > 1 else blocks[0]
-            b_ub = np.concatenate(rhs_parts)
-        if eq.size:
-            a_eq = matrix[eq]
-            b_eq = sf.rhs[eq]
-        sf._highs_parts = (a_ub, b_ub, a_eq, b_eq)
-    a_ub, b_ub, a_eq, b_eq = sf._highs_parts
-    result = linprog(
-        c=-sf.obj,
-        A_ub=a_ub,
-        b_ub=b_ub,
-        A_eq=a_eq,
-        b_eq=b_eq,
-        bounds=np.column_stack((lower, upper)),
-        method="highs",
-    )
-    if result.status == 0:
-        point = np.clip(result.x, lower, upper)
-        return "optimal", point, float(sf.obj @ point)
-    if result.status == 2:
-        return "infeasible", None, None
-    raise SolverError(f"LP backend failed with status {result.status}: {result.message}")
+    def lp(lower, upper):
+        if np.any(lower > upper + _TOL):
+            return "infeasible", None, None
+        result = linprog(
+            c=-sf.obj,
+            A_ub=a_ub,
+            b_ub=b_ub,
+            bounds=np.column_stack((lower, upper)),
+            method="highs",
+        )
+        if result.status == 0:
+            point = np.clip(result.x, lower, upper)
+            return "optimal", point, float(sf.obj @ point)
+        if result.status == 2:
+            return "infeasible", None, None
+        raise SolverError(f"LP backend failed with status {result.status}: {result.message}")
+
+    return lp
 
 
 def _apply_fixings(sf: _StandardForm, fixings):
@@ -477,7 +427,7 @@ def solve(model: LinearProgram, config: Optional[SolverConfig] = None, trace=Non
             return -np.inf
         if integral_obj:
             return incumbent_val + 1.0 - 1e-9
-        return incumbent_val + config.optimality_tol
+        return incumbent_val + OPTIMALITY_TOL
 
     def try_incumbent(x):
         nonlocal incumbent_vec, incumbent_val
@@ -485,7 +435,7 @@ def solve(model: LinearProgram, config: Optional[SolverConfig] = None, trace=Non
         if int_idx.size:
             rounded[int_idx] = np.round(rounded[int_idx])
         np.clip(rounded, sf.lower, sf.upper, out=rounded)
-        if not sf.feasible_point(rounded, config.feasibility_tol):
+        if not sf.feasible_point(rounded, FEASIBILITY_TOL):
             return False
         value = float(sf.obj @ rounded)
         if value > incumbent_val + 1e-9:
@@ -513,7 +463,7 @@ def solve(model: LinearProgram, config: Optional[SolverConfig] = None, trace=Non
         for _ in range(12):
             rounded = np.round(point[int_idx])
             dist = np.abs(point[int_idx] - rounded)
-            near = dist <= config.integrality_tol
+            near = dist <= INTEGRALITY_TOL
             _fix(bounds_lo, bounds_hi, int_idx[near & obj_support], point)
             if not _propagate(sf, bounds_lo, bounds_hi):
                 return
@@ -545,7 +495,7 @@ def solve(model: LinearProgram, config: Optional[SolverConfig] = None, trace=Non
             if try_incumbent(px):
                 return
             dist_after = np.abs(px[int_idx] - np.round(px[int_idx]))
-            if not np.any(dist_after > config.integrality_tol):
+            if not np.any(dist_after > INTEGRALITY_TOL):
                 return
             point = px
 
@@ -565,7 +515,7 @@ def solve(model: LinearProgram, config: Optional[SolverConfig] = None, trace=Non
         if incumbent_vec is not None and value <= cutoff():
             return
         dist = np.abs(x[int_idx] - np.round(x[int_idx]))
-        fractional = dist > config.integrality_tol
+        fractional = dist > INTEGRALITY_TOL
         if not fractional.any():
             if try_incumbent(x):
                 return
@@ -610,7 +560,7 @@ def solve(model: LinearProgram, config: Optional[SolverConfig] = None, trace=Non
                 values[name] = float(incumbent_vec[i])
         assignment = Assignment(values)
         report = check_assignment(
-            model, assignment, config.feasibility_tol, config.integrality_tol
+            model, assignment, FEASIBILITY_TOL, INTEGRALITY_TOL
         )
         if not report.ok:
             raise SolverError("incumbent failed the exact feasibility recheck")

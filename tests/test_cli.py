@@ -185,6 +185,58 @@ class TestControl:
             assert "positive" in capsys.readouterr().err
 
 
+class TestUnreadable:
+    def test_input_directory(self, capsys, tmp_path):
+        code, out, err = run(
+            capsys,
+            "control", "--rule", "condorcet", "--action", "delete-voters",
+            "--target", "1", "--input", str(tmp_path),
+        )
+        assert code == 2
+        assert out == "" and "cannot read" in err
+
+    def test_out_lp_directory(self, capsys, soc_file, tmp_path):
+        code, out, _ = run(
+            capsys,
+            "control", "--rule", "condorcet", "--action", "delete-voters",
+            "--target", "1", "--input", soc_file, "--out-lp", str(tmp_path),
+        )
+        assert code == 2
+        assert out == ""
+
+    def test_input_not_utf8(self, capsys, tmp_path):
+        path = tmp_path / "bytes.soc"
+        path.write_bytes(b"\xff\xfe\x00\x01garbage")
+        code, _, err = run(
+            capsys,
+            "control", "--rule", "condorcet", "--action", "delete-voters",
+            "--target", "1", "--input", str(path),
+        )
+        assert code == 2
+        assert "cannot read" in err
+        out_path = tmp_path / "report.csv"
+        code, _, err = run(
+            capsys,
+            "bench", "--suite", str(tmp_path), "--rule", "condorcet",
+            "--action", "delete-voters", "--out", str(out_path),
+        )
+        assert code == 0
+        assert out_path.read_text().splitlines()[1] == "bytes.soc,,,Error,,,"
+
+    @pytest.mark.parametrize("command", ["control", "verify"])
+    def test_target_must_be_positive(self, capsys, soc_file, command):
+        for target in ("0", "-2", "one"):
+            with pytest.raises(SystemExit) as exit_info:
+                main(
+                    [
+                        command, "--rule", "condorcet", "--action", "delete-voters",
+                        "--target", target, "--input", soc_file,
+                    ]
+                )
+            assert exit_info.value.code == 2
+            assert "positive candidate index" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("rule", ["condorcet", "maximin"])
 class TestSingleCandidate:
     @pytest.fixture

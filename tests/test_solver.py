@@ -150,16 +150,18 @@ class TestSolve:
 
     def test_incumbent_passes_exact_check(self):
         rng = random.Random(77)
-        config = SolverConfig()
         for _ in range(20):
             model = random_binary_program(rng, max_vars=12, max_rows=10)
-            result = solve(model, config)
+            result = solve(model)
             if result.status == "Optimal":
                 report = check_assignment(
-                    model, result.incumbent, config.feasibility_tol, config.integrality_tol
+                    model,
+                    result.incumbent,
+                    solver_module.FEASIBILITY_TOL,
+                    solver_module.INTEGRALITY_TOL,
                 )
                 assert report.ok
-                assert abs(result.objective - result.bound) <= config.optimality_tol
+                assert abs(result.objective - result.bound) <= solver_module.OPTIMALITY_TOL
 
     def test_bound_monotone_incumbent_monotone(self):
         rng = random.Random(31)
@@ -176,9 +178,9 @@ class TestSolve:
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
-            SolverConfig(feasibility_tol=0)
-        with pytest.raises(ValueError):
             SolverConfig(node_limit=0)
+        with pytest.raises(ValueError):
+            SolverConfig(time_limit=0)
 
     def test_warm_and_cold_agree_on_ip(self, monkeypatch):
         rng = random.Random(55)
