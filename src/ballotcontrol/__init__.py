@@ -22,6 +22,7 @@ from .core import (
 from .preflib import (
     PrefLibDocument,
     PrefLibParseError,
+    expand_scores,
     expand_voters,
     parse_preflib,
     serialize_preflib,

@@ -16,10 +16,12 @@ must be a positive number of seconds, a target a candidate index from 1),
 Inputs ending in .csv are read as score matrices (first row the voter
 count, then one comma-separated score row per candidate); everything
 else is parsed as a preference file (legacy or '#'-metadata layout).
-The range rule accepts strict or tied preference files by converting
-them to scores with the group-position convention (top group m-1, next
-m-2, ...). The environment variable BALLOT_SEED is reserved and unused;
-the solver is deterministic.
+Each file is read in the one form its rule needs. The range rule reads
+scores: a .csv as it stands, and a preference file, strict or with ties,
+through `expand_scores` with the group-position convention (top group
+m-1, next m-2, ...). Every other rule reads the strict rankings of a
+preference file without ties (`expand_voters`); a file with ties or a
+.csv is a rule/profile mismatch (exit 3).
 """
 
 from __future__ import annotations
@@ -32,20 +34,10 @@ import sys
 from pathlib import Path
 
 from .control import build_problem, solve_control
-from .core import (
-    ACTIONS,
-    MODES,
-    RULES,
-    SUPPORTED_CONTROL_PAIRS,
-    ControlSpec,
-    Election,
-    ScoreMatrix,
-    StrictProfile,
-    TiedProfile,
-)
+from .core import ACTIONS, MODES, RULES, SUPPORTED_CONTROL_PAIRS, ControlSpec, Election
 from .ilp import export_lp, export_mps
 from .oracle import OracleLimitError, brute_force_control
-from .preflib import PrefLibParseError, expand_voters, parse_preflib, tied_to_scores
+from .preflib import PrefLibParseError, expand_scores, expand_voters, parse_preflib
 from .rules import winner_for_rule
 from .solver import SolverConfig
 
@@ -65,17 +57,29 @@ class CliError(Exception):
         self.code = code
 
 
-def _read_election(path: str) -> Election:
+def _read_election(path: str, rule: str) -> Election:
+    """The file at `path` in the form `rule` reads: scores for range,
+    strict rankings for every other rule."""
     try:
         text = Path(path).read_text()
     except (OSError, UnicodeDecodeError) as exc:
         raise CliError(EXIT_PARSE, f"cannot read {path}: {exc}") from exc
     if path.endswith(".csv"):
-        return _parse_score_csv(text)
-    try:
-        return expand_voters(parse_preflib(text))
-    except PrefLibParseError as exc:
-        raise CliError(EXIT_PARSE, f"cannot parse {path}: {exc}") from exc
+        election = _parse_score_csv(text)
+        if rule == "range":
+            return election
+    else:
+        try:
+            doc = parse_preflib(text)
+        except PrefLibParseError as exc:
+            raise CliError(EXIT_PARSE, f"cannot parse {path}: {exc}") from exc
+        if rule == "range":
+            return expand_scores(doc)
+        if doc.is_strict:
+            return expand_voters(doc)
+    raise CliError(
+        EXIT_PROFILE, f"the {rule} rule needs strict orders; input has ties or scores"
+    )
 
 
 def _parse_score_csv(text: str) -> Election:
@@ -95,28 +99,6 @@ def _parse_score_csv(text: str) -> Election:
         raise CliError(EXIT_PARSE, str(exc)) from exc
 
 
-def _election_for_rule(election: Election, rule: str) -> Election:
-    """Convert the parsed payload to what the rule needs, or fail with the
-    profile-mismatch exit code."""
-    prefs = election.preferences
-    if rule == "range":
-        if isinstance(prefs, ScoreMatrix):
-            return election
-        if isinstance(prefs, StrictProfile):
-            prefs = TiedProfile(
-                tuple(tuple((c,) for c in r) for r in prefs.rankings)
-            )
-        scores = tied_to_scores(prefs, election.m)
-        return Election(election.candidates, election.voters, scores)
-    if isinstance(prefs, StrictProfile):
-        return election
-    if isinstance(prefs, TiedProfile) and prefs.is_strict:
-        return Election(election.candidates, election.voters, prefs.to_strict())
-    raise CliError(
-        EXIT_PROFILE, f"the {rule} rule needs strict orders; input has ties or scores"
-    )
-
-
 def _control_spec(args) -> ControlSpec:
     if (args.rule, args.action) not in SUPPORTED_CONTROL_PAIRS:
         raise CliError(
@@ -130,7 +112,7 @@ def _emit(payload) -> None:
 
 
 def cmd_winner(args) -> int:
-    election = _election_for_rule(_read_election(args.input), args.rule)
+    election = _read_election(args.input, args.rule)
     outcome = winner_for_rule(args.rule, election)
     winner = None
     if outcome.winner is not None:
@@ -144,7 +126,7 @@ def cmd_winner(args) -> int:
 
 def cmd_control(args) -> int:
     spec = _control_spec(args)
-    election = _election_for_rule(_read_election(args.input), args.rule)
+    election = _read_election(args.input, args.rule)
     if spec.target > election.m:
         raise CliError(EXIT_PROFILE, f"target {spec.target} is not a candidate index")
     if args.engine == "export-only":
@@ -181,7 +163,7 @@ def cmd_control(args) -> int:
 
 def cmd_verify(args) -> int:
     spec = _control_spec(args)
-    election = _election_for_rule(_read_election(args.input), args.rule)
+    election = _read_election(args.input, args.rule)
     if spec.target > election.m:
         raise CliError(EXIT_PROFILE, f"target {spec.target} is not a candidate index")
     try:
@@ -217,7 +199,7 @@ def cmd_bench(args) -> int:
     rows = []
     for path in sorted(p for p in suite.iterdir() if p.is_file()):
         try:
-            election = _election_for_rule(_read_election(str(path)), args.rule)
+            election = _read_election(str(path), args.rule)
             spec = ControlSpec(args.rule, args.action, "constructive", 1)
             outcome = solve_control(
                 election, spec, SolverConfig(time_limit=args.timeout)
@@ -293,7 +275,10 @@ def cmd_bench(args) -> int:
 
 def _positive_seconds(text: str) -> float:
     """argparse type of a time limit: a number of seconds above zero."""
-    value = float(text)
+    try:
+        value = float(text)
+    except ValueError:
+        value = 0.0
     if not value > 0:
         raise argparse.ArgumentTypeError(f"must be a positive number of seconds, got {text!r}")
     return value

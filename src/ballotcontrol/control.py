@@ -34,15 +34,11 @@ def solve_control(
 ) -> ControlOutcome:
     """Solve a control instance and verify the answer on the restricted
     election. Kept/deleted sets are reported in original indices."""
-    if spec.target > election.m:
-        raise ValueError(f"target {spec.target} is not a candidate index (m={election.m})")
     problem, norm_election, norm_spec = build_problem(election, spec)
     result = solve(problem.model, config)
     if result.status == "Optimal":
         solution = decode(problem, result.incumbent, norm_election, norm_spec)
         solution = _denormalize(solution, spec, election)
-    elif result.status == "Infeasible":
-        solution = ControlSolution((), (), None, "Infeasible", None)
     else:
         solution = ControlSolution((), (), None, result.status, None)
     return ControlOutcome(solution, result, problem)

@@ -66,14 +66,14 @@ class StrictProfile:
     def n(self) -> int:
         return len(self.rankings)
 
-    def position_of(self, voter: int, candidate: int) -> int:
-        """1-based rank of `candidate` in the ranking of `voter`."""
-        return self.rankings[voter - 1].index(candidate) + 1
-
 
 @dataclass(frozen=True)
 class TiedProfile:
-    """Per voter an ordered tuple of disjoint tie groups covering all candidates."""
+    """Per voter an ordered tuple of disjoint tie groups covering all candidates.
+
+    Elections never hold one: a file with ties is read as scores
+    (`preflib.expand_scores`, through `preflib.tied_to_scores`).
+    """
 
     groups: tuple[tuple[tuple[int, ...], ...], ...]
 
@@ -96,17 +96,6 @@ class TiedProfile:
     @property
     def n(self) -> int:
         return len(self.groups)
-
-    @property
-    def is_strict(self) -> bool:
-        return all(len(group) == 1 for voter in self.groups for group in voter)
-
-    def to_strict(self) -> StrictProfile:
-        if not self.is_strict:
-            raise ValueError("profile contains ties")
-        return StrictProfile(
-            tuple(tuple(group[0] for group in voter) for voter in self.groups)
-        )
 
 
 @dataclass(frozen=True)
@@ -135,12 +124,13 @@ class ScoreMatrix:
         return len(self.scores[0])
 
 
-Preferences = Union[StrictProfile, TiedProfile, ScoreMatrix]
+Preferences = Union[StrictProfile, ScoreMatrix]
 
 
 @dataclass(frozen=True)
 class Election:
-    """Candidates, voters, and exactly one preference payload."""
+    """Candidates, voters, and exactly one preference payload: strict
+    rankings or scores."""
 
     candidates: tuple[Candidate, ...]
     voters: tuple[Voter, ...]
@@ -154,6 +144,11 @@ class Election:
             raise ValueError("candidate indices must be contiguous 1..m")
         if [v.index for v in self.voters] != list(range(1, n + 1)):
             raise ValueError("voter indices must be contiguous 1..n")
+        if not isinstance(self.preferences, (StrictProfile, ScoreMatrix)):
+            raise TypeError(
+                "preferences must be a StrictProfile or a ScoreMatrix, "
+                f"got {type(self.preferences).__name__}"
+            )
         if self.preferences.m != m or self.preferences.n != n:
             raise ValueError(
                 f"preference payload is {self.preferences.m}x{self.preferences.n}, "
@@ -243,13 +238,6 @@ def normalize_target(election: Election, spec: ControlSpec) -> tuple[Election, C
         new_prefs: Preferences = StrictProfile(
             tuple(tuple(swap_index(c, 1, t) for c in r) for r in prefs.rankings)
         )
-    elif isinstance(prefs, TiedProfile):
-        new_prefs = TiedProfile(
-            tuple(
-                tuple(tuple(swap_index(c, 1, t) for c in group) for group in voter)
-                for voter in prefs.groups
-            )
-        )
     else:
         rows = list(prefs.scores)
         rows[0], rows[t - 1] = rows[t - 1], rows[0]
@@ -271,8 +259,6 @@ def restrict_to_voters(election: Election, keep: Iterable[int]) -> Election:
     prefs = election.preferences
     if isinstance(prefs, StrictProfile):
         new_prefs: Preferences = StrictProfile(tuple(prefs.rankings[j] for j in pick))
-    elif isinstance(prefs, TiedProfile):
-        new_prefs = TiedProfile(tuple(prefs.groups[j] for j in pick))
     else:
         new_prefs = ScoreMatrix(tuple(tuple(row[j] for j in pick) for row in prefs.scores))
     return Election(election.candidates, _voters(len(kept)), new_prefs)
@@ -294,17 +280,6 @@ def restrict_to_candidates(election: Election, keep: Iterable[int]) -> Election:
     if isinstance(prefs, StrictProfile):
         new_prefs: Preferences = StrictProfile(
             tuple(tuple(relabel[c] for c in r if c in relabel) for r in prefs.rankings)
-        )
-    elif isinstance(prefs, TiedProfile):
-        new_prefs = TiedProfile(
-            tuple(
-                tuple(
-                    tuple(relabel[c] for c in group if c in relabel)
-                    for group in voter
-                    if any(c in relabel for c in group)
-                )
-                for voter in prefs.groups
-            )
         )
     else:
         new_prefs = ScoreMatrix(tuple(prefs.scores[c - 1] for c in kept))

@@ -6,7 +6,7 @@ stay. An encoder takes the control mode and builds that mode's program in
 one pass: first the rows both modes share, then either the win rows, which
 force the distinguished candidate (always index 1 here, see
 `normalize_target`) to be the unique winner of the restricted election, or,
-in destructive mode, a 1-fold big-M alternative block
+in destructive mode, a big-M alternative block
 (`add_alternative_block`) of their negations, so the target must instead
 fail to win. With a single candidate the target wins vacuously: the
 constructive program has no win rows and keeps everyone, the destructive
@@ -161,7 +161,6 @@ def _duel_rows(model, xs, family, duels, destructive, big_m=None) -> None:
         add_alternative_block(
             model,
             [LinearConstraint(terms, "<=", 0, f"dest:alt:c{i}") for i, terms in duels],
-            k=1,
             big_m=big_m,
             names=[f"y_{i}" for i, _ in duels],
             pick_tag="dest:pick",
@@ -288,7 +287,6 @@ def encode_mme(profile: StrictProfile, mode: str = "constructive") -> EncodedPro
         add_alternative_block(
             model,
             target_min,
-            k=1,
             names=[f"u_{k}" for k in range(2, m + 1)],
             pick_tag="dest:pick-target-min",
         )
@@ -306,7 +304,6 @@ def encode_mme(profile: StrictProfile, mode: str = "constructive") -> EncodedPro
         add_alternative_block(
             model,
             rival_min,
-            k=1,
             names=[f"w_{i}" for i in range(2, m + 1)],
             pick_tag="dest:pick-rival",
         )
@@ -372,7 +369,7 @@ def _bucklin_alternatives(model, z, m, level, alternatives, names) -> None:
                 terms += ((z[1, l - 1], 1),)
             alternatives.append(LinearConstraint(terms, "<=", -1, f"dest:alt:c{i}:{level}{l}"))
             names.append(f"d_{i}_{l}")
-    add_alternative_block(model, alternatives, k=1, names=names, pick_tag="dest:pick")
+    add_alternative_block(model, alternatives, names, "dest:pick")
 
 
 def encode_bev(profile: StrictProfile, mode: str = "constructive") -> EncodedProblem:

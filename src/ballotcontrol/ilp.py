@@ -108,12 +108,6 @@ class LinearProgram:
     def variable(self, name: str) -> Variable:
         return self.variables[self._index[name]]
 
-    def has_variable(self, name: str) -> bool:
-        return name in self._index
-
-    def variable_index(self, name: str) -> int:
-        return self._index[name]
-
     def add_constraint(self, terms, sense, rhs, tag="") -> LinearConstraint:
         constraint = LinearConstraint(tuple(terms), sense, rhs, tag)
         for name, _ in constraint.terms:
@@ -147,19 +141,19 @@ class LinearProgram:
 def add_alternative_block(
     model: LinearProgram,
     alternatives: Sequence,
-    k: int = 1,
+    names: Sequence[str],
+    pick_tag: str,
     big_m: Optional[Number] = None,
-    names: Optional[Sequence[str]] = None,
-    pick_tag: str = "alt:pick",
 ) -> list[str]:
-    """Install "at least k of these alternatives hold" as linear rows.
+    """Install "at least one of these alternatives holds" as linear rows.
 
     Each alternative is a <=-sense constraint, or a list of them that must
-    hold together; one fresh binary indicator y is declared per alternative,
-    each row becomes `expr <= rhs + M*(1-y)`, and `sum(y) >= k` forces k
-    indicators on. With `big_m=None` every row gets the smallest bound that
-    is valid over the variable box; an explicit big_m is validated against
-    that bound. Returns the indicator names.
+    hold together; a fresh binary indicator y, named by `names` in order, is
+    declared per alternative, each row becomes `expr <= rhs + M*(1-y)`, and
+    the row `sum(y) >= 1`, tagged `pick_tag`, forces one indicator on. With
+    `big_m=None` every row gets the smallest bound that is valid over the
+    variable box; an explicit big_m is validated against that bound.
+    Returns the indicator names.
     """
     groups = []
     for alt in alternatives:
@@ -172,21 +166,11 @@ def add_alternative_block(
             groups.append(group)
     if not groups:
         raise ValueError("alternative block needs at least one alternative")
-    if k < 1:
-        raise ValueError("k must be at least 1")
     for group in groups:
         for constraint in group:
             if constraint.sense != "<=":
                 raise ValueError("alternatives must be <=-sense constraints")
-    if names is None:
-        names = []
-        seq = 1
-        while len(names) < len(groups):
-            candidate = f"alt_{seq}"
-            if not model.has_variable(candidate):
-                names.append(candidate)
-            seq += 1
-    elif len(names) != len(groups):
+    if len(names) != len(groups):
         raise ValueError("one indicator name per alternative required")
     indicator_names = list(names)
     for name in indicator_names:
@@ -208,7 +192,7 @@ def add_alternative_block(
                 constraint.rhs + m_value,
                 tag=constraint.tag,
             )
-    model.add_constraint(tuple((y, 1) for y in indicator_names), ">=", k, tag=pick_tag)
+    model.add_constraint(tuple((y, 1) for y in indicator_names), ">=", 1, tag=pick_tag)
     return indicator_names
 
 

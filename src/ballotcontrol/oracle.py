@@ -36,18 +36,15 @@ def brute_force_control(
     voters_mode = spec.action == "delete-voters"
     if voters_mode:
         universe = list(range(1, norm_election.n + 1))
-        count = 1 << len(universe)
-        sizes = range(len(universe), -1, -1)
     else:
         universe = list(range(2, norm_election.m + 1))
-        count = 1 << len(universe)
-        sizes = range(len(universe), -1, -1)
+    count = 1 << len(universe)
     if count > limit:
         raise OracleLimitError(
             f"{count} subset evaluations exceed the enumeration limit {limit}"
         )
     constructive = spec.mode == "constructive"
-    for size in sizes:
+    for size in range(len(universe), -1, -1):
         for combo in combinations(universe, size):
             kept = combo if voters_mode else (1,) + combo
             winner = winner_after_deletion(
@@ -63,11 +60,10 @@ def _solution(election, spec, kept, winner, voters_mode) -> ControlSolution:
     if voters_mode:
         kept_orig = tuple(sorted(kept))
         total = election.n
-        winner_orig = None if winner is None else swap_index(winner, 1, spec.target)
     else:
         kept_orig = tuple(sorted(swap_index(i, 1, spec.target) for i in kept))
         total = election.m
-        winner_orig = None if winner is None else swap_index(winner, 1, spec.target)
+    winner_orig = None if winner is None else swap_index(winner, 1, spec.target)
     kept_set = set(kept_orig)
     deleted = tuple(i for i in range(1, total + 1) if i not in kept_set)
     verification = {

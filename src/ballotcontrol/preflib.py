@@ -205,21 +205,33 @@ def serialize_preflib(doc: PrefLibDocument) -> str:
     return "\n".join(lines) + "\n"
 
 
-def expand_voters(doc: PrefLibDocument) -> Election:
-    """One voter per unit of multiplicity, in file order.
-
-    The result carries a StrictProfile when no tie group has more than one
-    member, otherwise a TiedProfile.
-    """
-    names = [name for _, name in doc.alternatives]
+def _expanded_orders(doc: PrefLibDocument) -> list:
+    """One order per unit of multiplicity, in file order."""
     orders = []
     for mult, order in doc.order_lines:
         orders.extend([order] * mult)
-    if doc.is_strict:
-        profile = StrictProfile(tuple(tuple(g[0] for g in order) for order in orders))
-        return Election(_candidates(doc.m, names), _voters(len(orders)), profile)
-    profile = TiedProfile(tuple(orders))
+    return orders
+
+
+def expand_voters(doc: PrefLibDocument) -> Election:
+    """One voter per unit of multiplicity, in file order, as a
+    StrictProfile. A file with ties has no strict profile: it raises
+    ValueError, and `expand_scores` reads it as scores instead."""
+    if not doc.is_strict:
+        raise ValueError("the file has ties; read it as scores with expand_scores")
+    names = [name for _, name in doc.alternatives]
+    orders = _expanded_orders(doc)
+    profile = StrictProfile(tuple(tuple(g[0] for g in order) for order in orders))
     return Election(_candidates(doc.m, names), _voters(len(orders)), profile)
+
+
+def expand_scores(doc: PrefLibDocument) -> Election:
+    """One voter per unit of multiplicity, in file order, as a ScoreMatrix
+    from `tied_to_scores`. Reads strict files and files with ties alike."""
+    names = [name for _, name in doc.alternatives]
+    orders = _expanded_orders(doc)
+    scores = tied_to_scores(TiedProfile(tuple(orders)), doc.m)
+    return Election(_candidates(doc.m, names), _voters(len(orders)), scores)
 
 
 def tied_to_scores(profile: TiedProfile, m: int) -> ScoreMatrix:

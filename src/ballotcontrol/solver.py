@@ -322,8 +322,6 @@ def _lp_solver(sf: _StandardForm):
     optimal, infeasible = core.HighsModelStatus.kOptimal, core.HighsModelStatus.kInfeasible
 
     def lp(lower, upper):
-        if np.any(lower > upper + _TOL):
-            return "infeasible", None, None
         highs.changeColsBounds(sf.ncols, columns, lower, upper)
         highs.run()
         status = highs.getModelStatus()
@@ -345,8 +343,6 @@ def _lp_highs(sf: _StandardForm):
     a_ub, b_ub = sf.le_rows()
 
     def lp(lower, upper):
-        if np.any(lower > upper + _TOL):
-            return "infeasible", None, None
         result = linprog(
             c=-sf.obj,
             A_ub=a_ub,
@@ -364,30 +360,13 @@ def _lp_highs(sf: _StandardForm):
     return lp
 
 
-def _apply_fixings(sf: _StandardForm, fixings):
-    lower, upper = sf.lower.copy(), sf.upper.copy()
-    if fixings:
-        index = {name: i for i, name in enumerate(sf.names)}
-        for name, value in fixings.items():
-            i = index[name]
-            if isinstance(value, tuple):
-                lo, hi = value
-            else:
-                lo = hi = value
-            lower[i] = max(lower[i], float(lo))
-            upper[i] = min(upper[i], float(hi))
-    return lower, upper
+def solve_lp_relaxation(model: LinearProgram) -> LpOutcome:
+    """Continuous relaxation of the model over its variable boxes.
 
-
-def solve_lp_relaxation(model: LinearProgram, fixings=None) -> LpOutcome:
-    """Continuous relaxation of the model under optional bound fixings.
-
-    `fixings` maps variable names to a value or a (lower, upper) pair.
     Unboundedness cannot occur because all variables carry finite boxes.
     """
     sf = _StandardForm(model)
-    lower, upper = _apply_fixings(sf, fixings)
-    status, x, value = _lp_solver(sf)(lower, upper)
+    status, x, value = _lp_solver(sf)(sf.lower, sf.upper)
     if status != "optimal":
         return LpOutcome("infeasible", None, None)
     point = {name: float(v) for name, v in zip(sf.names, x)}
@@ -406,7 +385,7 @@ def _objective_is_integral(model: LinearProgram) -> bool:
     return True
 
 
-def solve(model: LinearProgram, config: Optional[SolverConfig] = None, trace=None) -> SolveResult:
+def solve(model: LinearProgram, config: Optional[SolverConfig] = None) -> SolveResult:
     """Branch and bound to proven optimality within the configured
     tolerances, or a limit status. See the module docstring for the
     deterministic search rules."""
@@ -423,8 +402,7 @@ def solve(model: LinearProgram, config: Optional[SolverConfig] = None, trace=Non
     incumbent_val = -np.inf
 
     def cutoff():
-        if incumbent_vec is None:
-            return -np.inf
+        # -inf until the first incumbent, so nothing is cut off before it.
         if integral_obj:
             return incumbent_val + 1.0 - 1e-9
         return incumbent_val + OPTIMALITY_TOL
@@ -512,7 +490,7 @@ def solve(model: LinearProgram, config: Optional[SolverConfig] = None, trace=Non
         status, x, value = lp(lower, upper)
         if status != "optimal":
             return
-        if incumbent_vec is not None and value <= cutoff():
+        if value <= cutoff():
             return
         dist = np.abs(x[int_idx] - np.round(x[int_idx]))
         fractional = dist > INTEGRALITY_TOL
@@ -527,7 +505,7 @@ def solve(model: LinearProgram, config: Optional[SolverConfig] = None, trace=Non
                 raise SolverError("an integral LP point fails the exact row check")
         elif not try_incumbent(x) and value > incumbent_val + 1e-9:
             dive(lower, upper, x)
-        if incumbent_vec is not None and value <= cutoff():
+        if value <= cutoff():
             return
         scores = np.full(sf.ncols, -np.inf)
         scores[int_idx[fractional]] = dist[fractional]
@@ -542,7 +520,7 @@ def solve(model: LinearProgram, config: Optional[SolverConfig] = None, trace=Non
         return config.time_limit is not None and time.perf_counter() - start > config.time_limit
 
     def best_bound():
-        bound = incumbent_val if incumbent_vec is not None else -np.inf
+        bound = incumbent_val
         if heap:
             bound = max(bound, -heap[0][0])
         return bound
@@ -568,14 +546,6 @@ def solve(model: LinearProgram, config: Optional[SolverConfig] = None, trace=Non
         return SolveResult(status, assignment, report.objective, bound, nodes, wall)
 
     expand(sf.lower.copy(), sf.upper.copy(), 0)
-    if trace is not None:
-        trace.append(
-            (
-                nodes,
-                sf.sign * best_bound(),
-                sf.sign * incumbent_val if incumbent_vec is not None else None,
-            )
-        )
     if not heap and incumbent_vec is None:
         # Root relaxation infeasible, or every integral point is cut off.
         return finish("Infeasible")
@@ -586,7 +556,7 @@ def solve(model: LinearProgram, config: Optional[SolverConfig] = None, trace=Non
         if config.node_limit is not None and nodes >= config.node_limit:
             return finish("NodeLimit")
         neg_value, neg_depth, _, lower, upper, branch_var, branch_val = heapq.heappop(heap)
-        if incumbent_vec is not None and -neg_value <= cutoff():
+        if -neg_value <= cutoff():
             continue
         depth = -neg_depth
         floor = np.floor(branch_val)
@@ -596,12 +566,4 @@ def solve(model: LinearProgram, config: Optional[SolverConfig] = None, trace=Non
         up_lower, up_upper = lower, upper
         up_lower[branch_var] = max(up_lower[branch_var], floor + 1.0)
         expand(up_lower, up_upper, depth + 1)
-        if trace is not None:
-            trace.append(
-                (
-                    nodes,
-                    sf.sign * best_bound(),
-                    sf.sign * incumbent_val if incumbent_vec is not None else None,
-                )
-            )
     return finish("Optimal" if incumbent_vec is not None else "Infeasible")

@@ -86,6 +86,13 @@ class TestWinner:
         assert code == 0
         assert json.loads(out)["tally"] == [6, 4, 5, 3]
 
+    def test_range_reads_strict_file_as_scores(self, capsys, soc_file):
+        code, out, _ = run(capsys, "winner", "--rule", "range", "--input", soc_file)
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["tally"] == [6, 4, 5, 3]
+        assert payload["winner"] == {"index": 1, "name": "Alice"}
+
     def test_parse_error_exit_code(self, capsys, tmp_path):
         path = tmp_path / "bad.soc"
         path.write_text("garbage\n")
@@ -129,6 +136,20 @@ class TestControl:
         assert code == 0
         assert json.loads(out)["status"] == "Infeasible"
 
+    def test_range_on_strict_file(self, capsys, soc_file):
+        # Ballots score 3, 2, 1, 0 from the top. Dropping voter 1 leaves
+        # Carol 4 against Alice 3, Dave 3 and Bob 2.
+        code, out, _ = run(
+            capsys,
+            "control", "--rule", "range", "--action", "delete-voters",
+            "--target", "3", "--input", soc_file,
+        )
+        assert code == 0
+        payload = json.loads(out)
+        assert (payload["status"], payload["objective"]) == ("Optimal", 2)
+        assert (payload["kept"], payload["deleted"]) == ([2, 3], [1])
+        assert payload["verification"]["winner"] == 3
+
     def test_unsupported_pair(self, capsys, soc_file):
         code, _, err = run(
             capsys,
@@ -171,9 +192,35 @@ class TestControl:
         )
         assert code == 3
 
+    def test_out_mps_after_solve_matches_export_only(self, capsys, soc_file, tmp_path):
+        args = (
+            "control", "--rule", "bucklin", "--action", "delete-voters",
+            "--mode", "destructive", "--target", "1", "--input", soc_file,
+        )
+        solved, exported = tmp_path / "solved.mps", tmp_path / "exported.mps"
+        code, out, _ = run(capsys, *args, "--out-mps", str(solved))
+        assert code == 0
+        assert json.loads(out)["status"] == "Optimal"
+        code, _, _ = run(
+            capsys, *args, "--engine", "export-only",
+            "--out-lp", str(tmp_path / "exported.lp"), "--out-mps", str(exported),
+        )
+        assert code == 0
+        assert solved.read_text() == exported.read_text()
+
+    def test_valid_time_limit_keeps_output(self, capsys, soc_file):
+        args = (
+            "control", "--rule", "maximin", "--action", "delete-voters",
+            "--target", "2", "--input", soc_file,
+        )
+        code, plain, _ = run(capsys, *args)
+        assert code == 0
+        code, limited, _ = run(capsys, *args, "--time-limit", "60")
+        assert code == 0
+        assert limited == plain
 
     def test_time_limit_must_be_positive(self, capsys, soc_file):
-        for limit in ("0", "-1"):
+        for limit in ("0", "-1", "abc"):
             with pytest.raises(SystemExit) as exit_info:
                 main(
                     [
@@ -182,7 +229,9 @@ class TestControl:
                     ]
                 )
             assert exit_info.value.code == 2
-            assert "positive" in capsys.readouterr().err
+            err = capsys.readouterr().err
+            assert "positive number of seconds" in err
+            assert "_positive_seconds" not in err
 
 
 class TestUnreadable:
@@ -290,6 +339,15 @@ class TestVerify:
         assert payload["match"] is True
         assert payload["solver_objective"] == payload["oracle_objective"]
 
+    def test_target_beyond_candidates(self, capsys, soc_file):
+        code, out, err = run(
+            capsys,
+            "verify", "--rule", "condorcet", "--action", "delete-voters",
+            "--target", "5", "--input", soc_file,
+        )
+        assert code == 3
+        assert out == "" and "not a candidate index" in err
+
     def test_oracle_limit(self, capsys, tmp_path):
         n = 20
         lines = ["2", "1,A", "2,B", f"{n},{n},{n}"] + ["1,1,2"] * n
@@ -334,16 +392,20 @@ class TestBench:
         suite = tmp_path / "suite"
         suite.mkdir()
         (suite / "a.soc").write_text(WORKED_SOC)
-        with pytest.raises(SystemExit) as exit_info:
-            main(
-                [
-                    "bench", "--suite", str(suite), "--rule", "condorcet",
-                    "--action", "delete-voters", "--timeout", "0",
-                    "--out", str(tmp_path / "report.csv"),
-                ]
-            )
-        assert exit_info.value.code == 2
-        assert not (tmp_path / "report.csv").exists()
+        for timeout in ("0", "abc"):
+            with pytest.raises(SystemExit) as exit_info:
+                main(
+                    [
+                        "bench", "--suite", str(suite), "--rule", "condorcet",
+                        "--action", "delete-voters", "--timeout", timeout,
+                        "--out", str(tmp_path / "report.csv"),
+                    ]
+                )
+            assert exit_info.value.code == 2
+            err = capsys.readouterr().err
+            assert "positive number of seconds" in err
+            assert "_positive_seconds" not in err
+            assert not (tmp_path / "report.csv").exists()
 
     def test_bench_error_message_on_stderr(self, capsys, tmp_path):
         suite = tmp_path / "suite"

@@ -50,6 +50,11 @@ class TestTypes:
                 StrictProfile(((1, 2),)),
             )
 
+    def test_election_rejects_tied_payload(self):
+        election = Election.from_rankings([(1, 2)])
+        with pytest.raises(TypeError):
+            Election(election.candidates, election.voters, TiedProfile((((1,), (2,)),)))
+
     def test_control_spec_rejects_unsupported_pair(self):
         with pytest.raises(ValueError):
             ControlSpec("range", "delete-candidates", "constructive", 1)

@@ -49,43 +49,31 @@ class TestAlternativeBlock:
         x = model.add_variable("x", "binary")
         model.set_objective("max", [(x, 1)])
         alt = LinearConstraint(((x, 1),), "<=", 0, tag="only")
-        names = add_alternative_block(model, [alt], k=1)
-        assert len(names) == 1
+        names = add_alternative_block(model, [alt], ["y"], "pick")
+        assert names == ["y"]
+        assert model.constraints[-1].tag == "pick"
         # y forced to 1, so x <= 0 must hold: x=1 infeasible, x=0 feasible
         good = Assignment({"x": 0, names[0]: 1})
         bad = Assignment({"x": 1, names[0]: 1})
         assert check_assignment(model, good).ok
         assert not check_assignment(model, bad).ok
 
-    def test_k_equal_to_count_is_conjunction(self):
-        model = LinearProgram()
-        x = model.add_variable("x", "binary")
-        y = model.add_variable("y", "binary")
-        model.set_objective("max", [(x, 1), (y, 1)])
-        alts = [
-            LinearConstraint(((x, 1),), "<=", 0, tag="a"),
-            LinearConstraint(((y, 1),), "<=", 0, tag="b"),
-        ]
-        names = add_alternative_block(model, alts, k=2)
-        point = {"x": 0, "y": 0, names[0]: 1, names[1]: 1}
-        assert check_assignment(model, Assignment(point)).ok
-        point["x"] = 1
-        assert not check_assignment(model, Assignment(point)).ok
-
     def test_rejects_empty_and_wrong_sense(self):
         model = LinearProgram()
         x = model.add_variable("x", "binary")
         with pytest.raises(ValueError):
-            add_alternative_block(model, [])
+            add_alternative_block(model, [], [], "pick")
         with pytest.raises(ValueError):
-            add_alternative_block(model, [LinearConstraint(((x, 1),), ">=", 1)])
+            add_alternative_block(model, [LinearConstraint(((x, 1),), ">=", 1)], ["y"], "pick")
+        with pytest.raises(ValueError):
+            add_alternative_block(model, [LinearConstraint(((x, 1),), "<=", 0)], [], "pick")
 
     def test_too_small_big_m_rejected(self):
         model = LinearProgram()
         x = model.add_variable("x", "binary")
         with pytest.raises(ValueError):
             add_alternative_block(
-                model, [LinearConstraint(((x, 5),), "<=", 0)], big_m=1
+                model, [LinearConstraint(((x, 5),), "<=", 0)], ["y"], "pick", big_m=1
             )
 
     @pytest.mark.parametrize("seed", range(12))
@@ -98,7 +86,7 @@ class TestAlternativeBlock:
         for a in range(rng.randint(1, 3)):
             terms = tuple((x, rng.randint(-3, 3)) for x in xs)
             alts.append(LinearConstraint(terms, "<=", rng.randint(-2, 2), tag=f"alt{a}"))
-        names = add_alternative_block(base, alts, k=1)
+        names = add_alternative_block(base, alts, [f"y{a}" for a in range(len(alts))], "pick")
         for bits in itertools.product((0, 1), repeat=3):
             x_vals = dict(zip(xs, bits))
             holds_any = any(c.satisfied(x_vals) for c in alts)

@@ -5,8 +5,10 @@ from hypothesis import given, strategies as st
 
 from ballotcontrol import (
     PrefLibParseError,
+    ScoreMatrix,
     StrictProfile,
     TiedProfile,
+    expand_scores,
     expand_voters,
     parse_preflib,
     serialize_preflib,
@@ -137,9 +139,20 @@ class TestExpandVoters:
         election = expand_voters(parse_preflib(text))
         assert election.preferences == StrictProfile(worked_rankings)
 
-    def test_tie_produces_tied_profile(self):
-        election = expand_voters(parse_preflib(LEGACY_SAMPLE))
-        assert isinstance(election.preferences, TiedProfile)
+    def test_ties_are_read_as_scores(self):
+        doc = parse_preflib(LEGACY_SAMPLE)
+        with pytest.raises(ValueError, match="expand_scores"):
+            expand_voters(doc)
+        election = expand_scores(doc)
+        assert isinstance(election.preferences, ScoreMatrix)
+        # voter 2 puts C first and ties {A, B} in the second group
+        assert election.preferences.scores == ((2, 1), (1, 1), (0, 2))
+        assert [c.name for c in election.candidates] == ["A", "B", "C"]
+
+    def test_scores_of_strict_file(self):
+        election = expand_scores(parse_preflib("2\n1,A\n2,B\n3,3,2\n2,1,2\n1,2,1\n"))
+        assert election.n == 3
+        assert election.preferences.scores == ((1, 1, 0), (0, 0, 1))
 
 
 class TestTiedToScores:
