@@ -238,6 +238,7 @@ def check_assignment(
 
 
 _NAME_RE = re.compile(r"[^A-Za-z0-9_.\[\]]")
+_CLEAN_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_.\[\]]*\Z")
 
 
 def sanitize_name(name: str) -> str:
@@ -248,14 +249,20 @@ def sanitize_name(name: str) -> str:
 
 
 def _sanitized_names(model: LinearProgram) -> dict[str, str]:
+    """The exported name of each variable, worked out once per export call.
+
+    A name that is already a valid token is kept as it is, which is what
+    `sanitize_name` would return for it; only other names go through
+    `sanitize_name`. Two variables that end up with one name are an error."""
     mapping = {}
     seen = set()
     for var in model.variables:
-        clean = sanitize_name(var.name)
+        name = var.name
+        clean = name if _CLEAN_NAME_RE.match(name) else sanitize_name(name)
         if clean in seen:
             raise ValueError(f"variable name collision after sanitization: {clean!r}")
         seen.add(clean)
-        mapping[var.name] = clean
+        mapping[name] = clean
     return mapping
 
 
@@ -273,43 +280,53 @@ def format_number(x: Number) -> str:
     return repr(x)
 
 
-def _format_terms(terms, names) -> str:
+class _NumberText(dict):
+    """`format_number` of each distinct value met during one export call.
+
+    Keying by value is safe because numbers that compare equal (1, 1.0,
+    True, Fraction(1); -0.0 and 0) already format to the same text."""
+
+    def __missing__(self, value):
+        text = self[value] = format_number(value)
+        return text
+
+
+def _format_terms(terms, names, numbers) -> str:
     if not terms:
         return "0 ZERO_TERMS"
-    parts = []
-    for pos, (name, coef) in enumerate(terms):
-        sign = "-" if coef < 0 else "+"
-        magnitude = -coef if coef < 0 else coef
-        token = f"{format_number(magnitude)} {names[name]}"
-        if pos == 0:
-            parts.append(token if sign == "+" else f"- {token}")
-        else:
-            parts.append(f"{sign} {token}")
-    return " ".join(parts)
+    text = " ".join(
+        [
+            f"- {numbers[-coef]} {names[name]}" if coef < 0 else f"+ {numbers[coef]} {names[name]}"
+            for name, coef in terms
+        ]
+    )
+    return text[2:] if text[0] == "+" else text
 
 
 def export_lp(model: LinearProgram) -> str:
-    """LP-format text: objective, Subject To, Bounds, Binaries, Generals, End."""
+    """LP-format text: objective, Subject To, Bounds, Binaries, Generals, End.
+
+    Each distinct number and each variable name is formatted once per call
+    and then looked up. The text is the one the golden tables in
+    tests/test_model_golden.py and tests/test_ilp.py pin."""
     names = _sanitized_names(model)
+    numbers = _NumberText()
     lines = [f"\\ Problem: {model.name}"]
     lines.append("Maximize" if model.objective_sense == "max" else "Minimize")
-    lines.append(f" obj: {_format_terms(model.objective, names)}")
+    lines.append(f" obj: {_format_terms(model.objective, names, numbers)}")
     lines.append("Subject To")
-    sense_text = {"<=": "<=", ">=": ">=", "=": "="}
     for idx, constraint in enumerate(model.constraints, start=1):
         if constraint.tag:
             lines.append(f"\\ tag: {constraint.tag}")
         lines.append(
-            f" r{idx}: {_format_terms(constraint.terms, names)} "
-            f"{sense_text[constraint.sense]} {format_number(constraint.rhs)}"
+            f" r{idx}: {_format_terms(constraint.terms, names, numbers)} "
+            f"{constraint.sense} {numbers[constraint.rhs]}"
         )
     lines.append("Bounds")
     for var in model.variables:
         if var.kind == BINARY:
             continue
-        lines.append(
-            f" {format_number(var.lower)} <= {names[var.name]} <= {format_number(var.upper)}"
-        )
+        lines.append(f" {numbers[var.lower]} <= {names[var.name]} <= {numbers[var.upper]}")
     binaries = [names[v.name] for v in model.variables if v.kind == BINARY]
     if binaries:
         lines.append("Binaries")
@@ -444,30 +461,37 @@ def parse_lp(text: str) -> LinearProgram:
     return model
 
 
+_MPS_SENSE = {"<=": "L", ">=": "G", "=": "E"}
+
+
 def export_mps(model: LinearProgram) -> str:
     """Fixed-field MPS text with integer markers and LI/UI bound entries.
 
     Names longer than a field push the rest of the line right, and at least
     one space always separates two fields, so free-format readers such as
-    HiGHS parse every line."""
+    HiGHS parse every line. Each distinct number, each variable name and
+    each padded row name is formatted once per call and then looked up.
+    The text is the one the golden tables in tests/test_model_golden.py
+    and tests/test_ilp.py pin."""
     names = _sanitized_names(model)
+    numbers = _NumberText()
     lines = [f"NAME          {model.name}"]
     lines.append("OBJSENSE")
     lines.append(f"    {'MAX' if model.objective_sense == 'max' else 'MIN'}")
     lines.append("ROWS")
     lines.append(" N  COST")
-    row_names = {}
+    row_fields = []
     for idx, constraint in enumerate(model.constraints, start=1):
         row = f"r{idx}"
-        row_names[idx - 1] = row
-        marker = {"<=": "L", ">=": "G", "=": "E"}[constraint.sense]
-        lines.append(f" {marker}  {row}")
-    entries: dict[str, list[tuple[str, Number]]] = {v.name: [] for v in model.variables}
+        row_fields.append(f"{row:<9} ")
+        lines.append(f" {_MPS_SENSE[constraint.sense]}  {row}")
+    # Each column's entries as finished "<row:9> <coef>" text.
+    entries: dict[str, list[str]] = {v.name: [] for v in model.variables}
     for name, coef in model.objective:
-        entries[name].append(("COST", coef))
-    for idx, constraint in enumerate(model.constraints):
+        entries[name].append(f"COST      {numbers[coef]}")
+    for field, constraint in zip(row_fields, model.constraints):
         for name, coef in constraint.terms:
-            entries[name].append((row_names[idx], coef))
+            entries[name].append(field + numbers[coef])
     lines.append("COLUMNS")
     in_integer_block = False
     marker_count = 0
@@ -478,33 +502,31 @@ def export_mps(model: LinearProgram) -> str:
         return f"    MARKER{marker_count:04d}  'MARKER'                 '{kind}'"
 
     for var in model.variables:
-        if var.is_integral and not in_integer_block:
-            lines.append(marker("INTORG"))
-            in_integer_block = True
-        elif not var.is_integral and in_integer_block:
-            lines.append(marker("INTEND"))
-            in_integer_block = False
-        column = names[var.name]
-        for row, coef in entries[var.name]:
-            lines.append(f"    {column:<9} {row:<9} {format_number(coef)}")
-        if not entries[var.name]:
-            lines.append(f"    {column:<9} COST      0")
+        if var.is_integral != in_integer_block:
+            in_integer_block = var.is_integral
+            lines.append(marker("INTORG" if in_integer_block else "INTEND"))
+        head = f"    {names[var.name]:<9} "
+        column = entries[var.name]
+        if column:
+            lines.extend([head + entry for entry in column])
+        else:
+            lines.append(f"{head}COST      0")
     if in_integer_block:
         lines.append(marker("INTEND"))
     lines.append("RHS")
-    for idx, constraint in enumerate(model.constraints):
+    for field, constraint in zip(row_fields, model.constraints):
         if constraint.rhs != 0:
-            lines.append(f"    RHS       {row_names[idx]:<9} {format_number(constraint.rhs)}")
+            lines.append(f"    RHS       {field}{numbers[constraint.rhs]}")
     lines.append("BOUNDS")
     for var in model.variables:
         column = names[var.name]
         if var.kind == BINARY:
             lines.append(f" BV BND       {column}")
         elif var.kind == INTEGER:
-            lines.append(f" LI BND       {column:<9} {format_number(var.lower)}")
-            lines.append(f" UI BND       {column:<9} {format_number(var.upper)}")
+            lines.append(f" LI BND       {column:<9} {numbers[var.lower]}")
+            lines.append(f" UI BND       {column:<9} {numbers[var.upper]}")
         else:
-            lines.append(f" LO BND       {column:<9} {format_number(var.lower)}")
-            lines.append(f" UP BND       {column:<9} {format_number(var.upper)}")
+            lines.append(f" LO BND       {column:<9} {numbers[var.lower]}")
+            lines.append(f" UP BND       {column:<9} {numbers[var.upper]}")
     lines.append("ENDATA")
     return "\n".join(lines) + "\n"

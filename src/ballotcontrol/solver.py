@@ -27,6 +27,7 @@ from __future__ import annotations
 import heapq
 import importlib.machinery
 import importlib.util
+import math
 import sys
 import time
 from dataclasses import dataclass
@@ -525,10 +526,18 @@ def solve(model: LinearProgram, config: Optional[SolverConfig] = None) -> SolveR
             bound = max(bound, -heap[0][0])
         return bound
 
+    def limit_bound():
+        """The best bound of a limit stop, in the model's sense. For an
+        integral objective no integral point beats floor(best + 1e-9), the
+        slack `cutoff()` prunes with, so that is reported, as an int."""
+        if integral_obj:
+            return int(sf.sign) * math.floor(best_bound() + 1e-9)
+        return sf.sign * best_bound()
+
     def finish(status):
         wall = time.perf_counter() - start
         if incumbent_vec is None:
-            bound = None if status == "Infeasible" else sf.sign * best_bound()
+            bound = None if status == "Infeasible" else limit_bound()
             return SolveResult(status, None, None, bound, nodes, wall)
         values = {}
         for i, name in enumerate(sf.names):
@@ -542,7 +551,7 @@ def solve(model: LinearProgram, config: Optional[SolverConfig] = None) -> SolveR
         )
         if not report.ok:
             raise SolverError("incumbent failed the exact feasibility recheck")
-        bound = report.objective if status == "Optimal" else sf.sign * best_bound()
+        bound = report.objective if status == "Optimal" else limit_bound()
         return SolveResult(status, assignment, report.objective, bound, nodes, wall)
 
     expand(sf.lower.copy(), sf.upper.copy(), 0)

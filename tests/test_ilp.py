@@ -1,5 +1,7 @@
+import hashlib
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -16,7 +18,13 @@ from ballotcontrol import (
     export_mps,
     parse_lp,
 )
-from genutil import models_equal, random_election, random_score_election
+from genutil import (
+    models_equal,
+    random_big_coefficient_program,
+    random_binary_program,
+    random_election,
+    random_score_election,
+)
 
 
 def tiny_model():
@@ -217,3 +225,91 @@ class TestMpsFormat:
         assert result.status == "Optimal"
         assert highs.getModelStatus() == core.HighsModelStatus.kOptimal
         assert highs.getInfo().objective_function_value == pytest.approx(result.objective)
+
+
+def number_edge_model():
+    """Every kind of number the exports accept, names that need sanitizing
+    or run past a field, and column kinds interleaved so the MPS integer
+    markers open and close several times."""
+    model = LinearProgram("number edges")
+    model.add_variable("a b", "binary")
+    model.add_variable("1x", "integer", Fraction(-2), 7)
+    model.add_variable(".x", "continuous", -0.5, 2.0)
+    model.add_variable("long_name_0123", "binary")
+    model.add_variable("y", "integer", 0, Fraction(9, 2))
+    model.add_variable("z", "continuous", -1e20, 1e20)
+    model.add_variable("unused_column", "integer", 0, 3)
+    model.add_variable("b2", "binary")
+    model.add_variable("c", "continuous", Fraction(1, 3), True)
+    model.set_objective(
+        "min",
+        [
+            ("a b", Fraction(1, 2)),
+            ("1x", -3),
+            (".x", 2.0),
+            ("long_name_0123", True),
+            ("y", -0.0),
+            ("z", 1e-05),
+            ("c", Fraction(-7, 2)),
+        ],
+    )
+    model.add_constraint(
+        [("a b", Fraction(3, 1)), ("1x", 0.5), ("long_name_0123", -1e20)],
+        "<=",
+        Fraction(7, 2),
+        tag="fractions and floats",
+    )
+    model.add_constraint([], ">=", 0, tag="no terms")
+    model.add_constraint([(".x", -2.5), ("y", 0), ("z", 1), ("b2", -1)], "=", 0.0)
+    model.add_constraint([("c", True), ("a b", -Fraction(1, 2)), ("y", 1e-05)], ">=", -1e-05)
+    model.add_constraint([("z", -0.0), ("1x", 2)], "<=", 0)
+    model.add_constraint([("b2", -7), ("long_name_0123", 3)], "<=", -4, tag="negative first")
+    model.add_constraint([("1x", 1e20), ("c", -Fraction(3, 1)), ("y", 2**53 + 1)], "=", True)
+    return model
+
+
+def empty_objective_model():
+    """No objective, integer columns in the middle and at the end, and a
+    ten-character bracketed name."""
+    model = LinearProgram("empty objective")
+    model.add_variable("u", "continuous", 0, 5)
+    model.add_variable("k[10]_long", "integer", -3, 3)
+    model.add_variable("v", "continuous", -1, 1)
+    model.add_variable("w", "binary")
+    model.add_variable("n", "integer", 0, 10**6)
+    model.add_constraint([("k[10]_long", -1), ("n", 1)], ">=", -3)
+    model.add_constraint([("u", 1), ("w", -1)], "<=", 0)
+    return model
+
+
+def export_edge_models(kind):
+    """The hand-built programs, or 50 seeded draws of one random generator."""
+    if kind == "hand-built":
+        return [number_edge_model(), empty_objective_model(), LinearProgram("nothing")]
+    rng = random.Random(f"export/{kind}")
+    make = {
+        "random-binary": random_binary_program,
+        "random-big-coefficient": random_big_coefficient_program,
+    }[kind]
+    return [make(rng) for _ in range(50)]
+
+
+# SHA-256 over the LP and MPS exports of each group, computed before the
+# writers looked numbers and names up per call instead of formatting each
+# occurrence.
+EXPORT_GOLDEN = {
+    "hand-built": "154b255a7cfa2c41b8f71082380a64a60aa765e1d8ff56ad0171bdf43ab42062",
+    "random-binary": "f19994eb40f80fc7ed77602b28e11a8e5fbbc10537f3d53099a07522b2d42da4",
+    "random-big-coefficient": (
+        "d54f134a2da200a2596098b5bc39ff0350b6789e17b32da14af21a3ee2056d79"
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(EXPORT_GOLDEN))
+def test_export_edge_cases_golden(kind):
+    digest = hashlib.sha256()
+    for model in export_edge_models(kind):
+        digest.update(export_lp(model).encode())
+        digest.update(export_mps(model).encode())
+    assert digest.hexdigest() == EXPORT_GOLDEN[kind], f"the {kind} exports changed"

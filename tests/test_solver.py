@@ -37,6 +37,18 @@ def box_model():
     return model
 
 
+def monotone_models():
+    """40 random binary programs, then six bucklin constructive and six
+    maximin destructive voter-deletion programs (n=12, m=4) that branch."""
+    rng = random.Random(31)
+    models = [random_binary_program(rng, max_vars=12, max_rows=10) for _ in range(40)]
+    for rule, mode in (("bucklin", "constructive"), ("maximin", "destructive")):
+        for _ in range(6):
+            spec = ControlSpec(rule, "delete-voters", mode, rng.randint(1, 4))
+            models.append(build_problem(random_election(rng, 12, 4), spec)[0].model)
+    return models
+
+
 class TestLpRelaxation:
     def test_unconstrained_box(self):
         outcome = solve_lp_relaxation(box_model())
@@ -159,16 +171,10 @@ class TestSolve:
     def test_bound_monotone_incumbent_monotone(self):
         # The search is deterministic and checks the node limit at the top
         # of its loop, so the limits 1..N-1 stop one search at successive
-        # states of the unlimited one. Most random programs close at the
-        # root; the control programs branch.
-        rng = random.Random(31)
-        models = [random_binary_program(rng, max_vars=12, max_rows=10) for _ in range(40)]
-        for rule, mode in (("bucklin", "constructive"), ("maximin", "destructive")):
-            for _ in range(6):
-                spec = ControlSpec(rule, "delete-voters", mode, rng.randint(1, 4))
-                models.append(build_problem(random_election(rng, 12, 4), spec)[0].model)
+        # states of the unlimited one. Every objective here is integral,
+        # so the bounds are whole numbers and compare exactly.
         stops = 0
-        for model in models:
+        for model in monotone_models():
             final = solve(model)
             limited = [
                 solve(model, SolverConfig(node_limit=k))
@@ -178,10 +184,29 @@ class TestSolve:
             sign = 1 if model.objective_sense == "max" else -1
             results = [r for r in limited + [final] if r.bound is not None]
             bounds = [sign * r.bound for r in results]
-            assert all(b1 >= b2 - 1e-9 for b1, b2 in zip(bounds, bounds[1:]))
+            assert all(b1 >= b2 for b1, b2 in zip(bounds, bounds[1:]))
             values = [sign * r.objective for r in results if r.objective is not None]
             assert all(v1 <= v2 + 1e-9 for v1, v2 in zip(values, values[1:]))
         assert stops >= 50
+
+    def test_limit_bound_of_integral_objective_is_rounded_down(self):
+        # The best LP values at these stops are 8.999999999999996 and
+        # 22.433333333333334.
+        models = monotone_models()
+        result = solve(models[45], SolverConfig(node_limit=15))
+        assert result.status == "NodeLimit"
+        assert result.objective == 8
+        assert result.bound == 9 and type(result.bound) is int
+        result = solve(models[9], SolverConfig(node_limit=1))
+        assert result.status == "NodeLimit"
+        assert result.bound == 22 and type(result.bound) is int
+
+    def test_limit_bound_of_fractional_objective_is_not_rounded(self):
+        model = monotone_models()[9]
+        model.set_objective(model.objective_sense, [(x, c / 3) for x, c in model.objective])
+        result = solve(model, SolverConfig(node_limit=1))
+        assert result.status == "NodeLimit"
+        assert result.bound == pytest.approx(22.433333333333334 / 3)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
