@@ -7,13 +7,11 @@ from .core import (
     MODES,
     RULES,
     SUPPORTED_CONTROL_PAIRS,
-    Candidate,
     ControlSpec,
     Election,
     ScoreMatrix,
     StrictProfile,
     TiedProfile,
-    Voter,
     normalize_target,
     restrict_to_candidates,
     restrict_to_voters,

@@ -1,8 +1,8 @@
 """End-to-end control solving: normalize, encode, solve, decode.
 
 Targets come in as original candidate indices; the pipeline relabels the
-target to index 1, runs the encoder and solver, and maps every reported
-index back to the original labels.
+target to index 1, runs the encoder and solver, and decodes the answer on
+the caller's election, in its labels.
 """
 
 from __future__ import annotations
@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .core import ControlSpec, Election, normalize_target, swap_index
+from .core import ControlSpec, Election, normalize_target
 from .encoders import ControlSolution, EncodedProblem, decode, encode_control
 from .solver import SolveResult, SolverConfig, solve
 
@@ -33,28 +33,12 @@ def solve_control(
     election: Election, spec: ControlSpec, config: Optional[SolverConfig] = None
 ) -> ControlOutcome:
     """Solve a control instance and verify the answer on the restricted
-    election. Kept/deleted sets are reported in original indices."""
-    problem, norm_election, norm_spec = build_problem(election, spec)
+    election. `decode` reads the kept/deleted sets in original indices and
+    rechecks the winner on `election` itself."""
+    problem, _, _ = build_problem(election, spec)
     result = solve(problem.model, config)
     if result.status == "Optimal":
-        solution = decode(problem, result.incumbent, norm_election, norm_spec)
-        solution = _denormalize(solution, spec, election)
+        solution = decode(problem, result.incumbent, election, spec)
     else:
         solution = ControlSolution((), (), None, result.status, None)
     return ControlOutcome(solution, result, problem)
-
-
-def _denormalize(solution: ControlSolution, spec: ControlSpec, election: Election) -> ControlSolution:
-    """Map a solution on the normalized election back to original labels."""
-    if spec.target == 1:
-        return solution
-    verification = dict(solution.verification or {})
-    if verification.get("winner") is not None:
-        verification["winner"] = swap_index(verification["winner"], 1, spec.target)
-    verification["target"] = spec.target
-    if spec.action == "delete-candidates":
-        kept = tuple(sorted(swap_index(i, 1, spec.target) for i in solution.kept))
-        deleted = tuple(sorted(swap_index(i, 1, spec.target) for i in solution.deleted))
-    else:
-        kept, deleted = solution.kept, solution.deleted
-    return ControlSolution(kept, deleted, solution.objective, solution.status, verification)

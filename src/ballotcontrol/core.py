@@ -1,9 +1,10 @@
 """Domain types for elections, preference profiles, and control problems.
 
-Candidates and voters are identified positionally with 1-based indices;
-display names are carried only for input/output. All types are immutable
-after construction and every operation is a pure function, so values can
-be shared freely across threads.
+Candidates and voters are identified positionally with 1-based indices:
+an election holds its candidates' display names, in index order, and its
+voters as the range 1..n. All types are immutable after construction and
+every operation is a pure function, so values can be shared freely across
+threads.
 """
 
 from __future__ import annotations
@@ -26,21 +27,6 @@ SUPPORTED_CONTROL_PAIRS = frozenset(
         ("bucklin", "delete-candidates"),
     }
 )
-
-
-@dataclass(frozen=True)
-class Candidate:
-    """A candidate, identified by its 1-based position."""
-
-    index: int
-    name: str
-
-
-@dataclass(frozen=True)
-class Voter:
-    """A voter, identified by its 1-based position."""
-
-    index: int
 
 
 @dataclass(frozen=True)
@@ -129,21 +115,21 @@ Preferences = Union[StrictProfile, ScoreMatrix]
 
 @dataclass(frozen=True)
 class Election:
-    """Candidates, voters, and exactly one preference payload: strict
-    rankings or scores."""
+    """Plain data: `candidates` is the tuple of candidate names, candidate i
+    named `candidates[i - 1]`; `voters` is `range(1, n + 1)`; `preferences`
+    is exactly one payload, strict rankings or scores, over those m
+    candidates and n voters."""
 
-    candidates: tuple[Candidate, ...]
-    voters: tuple[Voter, ...]
+    candidates: tuple[str, ...]
+    voters: range
     preferences: Preferences
 
     def __post_init__(self):
         m, n = len(self.candidates), len(self.voters)
         if m < 1 or n < 1:
             raise ValueError("an election needs at least one candidate and one voter")
-        if [c.index for c in self.candidates] != list(range(1, m + 1)):
-            raise ValueError("candidate indices must be contiguous 1..m")
-        if [v.index for v in self.voters] != list(range(1, n + 1)):
-            raise ValueError("voter indices must be contiguous 1..n")
+        if self.voters != range(1, n + 1):
+            raise ValueError(f"voters must be range(1, {n + 1}), got {self.voters!r}")
         if not isinstance(self.preferences, (StrictProfile, ScoreMatrix)):
             raise TypeError(
                 "preferences must be a StrictProfile or a ScoreMatrix, "
@@ -164,27 +150,21 @@ class Election:
         return len(self.voters)
 
     def candidate_name(self, index: int) -> str:
-        return self.candidates[index - 1].name
+        return self.candidates[index - 1]
 
     @classmethod
-    def from_rankings(cls, rankings, names=None) -> "Election":
+    def from_rankings(cls, rankings) -> "Election":
+        """Candidates named c1..cm."""
         profile = StrictProfile(tuple(tuple(r) for r in rankings))
-        return cls(_candidates(profile.m, names), _voters(profile.n), profile)
+        names = tuple(f"c{i}" for i in range(1, profile.m + 1))
+        return cls(names, range(1, profile.n + 1), profile)
 
     @classmethod
-    def from_scores(cls, scores, names=None) -> "Election":
+    def from_scores(cls, scores) -> "Election":
+        """Candidates named c1..cm."""
         matrix = ScoreMatrix(tuple(tuple(row) for row in scores))
-        return cls(_candidates(matrix.m, names), _voters(matrix.n), matrix)
-
-
-def _candidates(m: int, names=None) -> tuple[Candidate, ...]:
-    if names is None:
-        names = [f"c{i}" for i in range(1, m + 1)]
-    return tuple(Candidate(i, name) for i, name in enumerate(names, start=1))
-
-
-def _voters(n: int) -> tuple[Voter, ...]:
-    return tuple(Voter(j) for j in range(1, n + 1))
+        names = tuple(f"c{i}" for i in range(1, matrix.m + 1))
+        return cls(names, range(1, matrix.n + 1), matrix)
 
 
 @dataclass(frozen=True)
@@ -228,11 +208,8 @@ def normalize_target(election: Election, spec: ControlSpec) -> tuple[Election, C
         raise ValueError(f"target {t} is not a candidate index (m={election.m})")
     if t == 1:
         return election, spec
-    candidates = list(election.candidates)
-    candidates[0], candidates[t - 1] = (
-        Candidate(1, candidates[t - 1].name),
-        Candidate(t, candidates[0].name),
-    )
+    names = list(election.candidates)
+    names[0], names[t - 1] = names[t - 1], names[0]
     prefs = election.preferences
     if isinstance(prefs, StrictProfile):
         new_prefs: Preferences = StrictProfile(
@@ -242,10 +219,7 @@ def normalize_target(election: Election, spec: ControlSpec) -> tuple[Election, C
         rows = list(prefs.scores)
         rows[0], rows[t - 1] = rows[t - 1], rows[0]
         new_prefs = ScoreMatrix(tuple(rows))
-    return (
-        Election(tuple(candidates), election.voters, new_prefs),
-        replace(spec, target=1),
-    )
+    return Election(tuple(names), election.voters, new_prefs), replace(spec, target=1)
 
 
 def restrict_to_voters(election: Election, keep: Iterable[int]) -> Election:
@@ -261,7 +235,7 @@ def restrict_to_voters(election: Election, keep: Iterable[int]) -> Election:
         new_prefs: Preferences = StrictProfile(tuple(prefs.rankings[j] for j in pick))
     else:
         new_prefs = ScoreMatrix(tuple(tuple(row[j] for j in pick) for row in prefs.scores))
-    return Election(election.candidates, _voters(len(kept)), new_prefs)
+    return Election(election.candidates, range(1, len(kept) + 1), new_prefs)
 
 
 def restrict_to_candidates(election: Election, keep: Iterable[int]) -> Election:
@@ -273,9 +247,6 @@ def restrict_to_candidates(election: Election, keep: Iterable[int]) -> Election:
     if kept[0] < 1 or kept[-1] > election.m:
         raise ValueError("keep set contains unknown candidate indices")
     relabel = {orig: new for new, orig in enumerate(kept, start=1)}
-    candidates = tuple(
-        Candidate(relabel[c.index], c.name) for c in election.candidates if c.index in relabel
-    )
     prefs = election.preferences
     if isinstance(prefs, StrictProfile):
         new_prefs: Preferences = StrictProfile(
@@ -283,4 +254,4 @@ def restrict_to_candidates(election: Election, keep: Iterable[int]) -> Election:
         )
     else:
         new_prefs = ScoreMatrix(tuple(prefs.scores[c - 1] for c in kept))
-    return Election(candidates, election.voters, new_prefs)
+    return Election(tuple(election.candidates[c - 1] for c in kept), election.voters, new_prefs)

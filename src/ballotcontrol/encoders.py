@@ -43,7 +43,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Optional
 
-from .core import MODES, Election, ControlSpec, ScoreMatrix, StrictProfile
+from .core import MODES, Election, ControlSpec, ScoreMatrix, StrictProfile, swap_index
 from .ilp import (
     Assignment,
     BINARY,
@@ -513,7 +513,13 @@ def decode(
     spec: ControlSpec,
 ) -> ControlSolution:
     """Read the kept set off the decision variables (value > 0.5 counts as
-    kept) and recheck the winner on the restricted election.
+    kept) and recheck the winner on `election` restricted to it.
+
+    `problem` encodes `normalize_target(election, spec)`, so its candidate
+    variables are in normalized labels; the transposition (1 target) maps
+    them back, and every index of the answer, the rechecked winner
+    included, is in `election`'s labels. On a normalized instance (target
+    1) that mapping is the identity.
 
     A recheck that contradicts the requested mode raises VerificationError;
     that never comes from a valid model plus a correct solver.
@@ -524,7 +530,11 @@ def decode(
         for idx, name in enumerate(problem.decision_vars, start=1)
         if values[name] > 0.5
     )
-    total = election.n if spec.action == "delete-voters" else election.m
+    if spec.action == "delete-voters":
+        total = election.n
+    else:
+        total = election.m
+        kept = tuple(sorted(swap_index(i, 1, spec.target) for i in kept))
     kept_set = set(kept)
     deleted = tuple(i for i in range(1, total + 1) if i not in kept_set)
     winner = winner_after_deletion(election, spec.rule, kept, spec.action)

@@ -4,7 +4,8 @@ Two layouts are supported and autodetected:
 
 * legacy: line 1 is the number of alternatives m, lines 2..m+1 are
   "index,name" pairs, the next line is
-  "voters,sum_of_multiplicities,unique_order_count", and every remaining
+  "voters,sum_of_multiplicities,unique_order_count" (the first two must
+  both equal the order lines' multiplicity total), and every remaining
   line is "multiplicity,item,item,..." where an item is either a candidate
   index or a brace-delimited tie group "{i,j,...}".
 * modern: metadata lines "# KEY: VALUE" (NUMBER ALTERNATIVES, NUMBER
@@ -19,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import Election, ScoreMatrix, StrictProfile, TiedProfile, _candidates, _voters
+from .core import Election, ScoreMatrix, StrictProfile, TiedProfile
 
 
 class PrefLibParseError(ValueError):
@@ -138,7 +139,7 @@ def _parse_legacy(lines) -> PrefLibDocument:
     counts = lines[m + 1].split(",")
     if len(counts) != 3:
         raise PrefLibParseError(f"malformed header: counts line {lines[m + 1]!r}")
-    _, total, unique = (_parse_int(tok, "count") for tok in counts)
+    voters, total, unique = (_parse_int(tok, "count") for tok in counts)
     order_lines = []
     for line in lines[m + 2 :]:
         mult_token, _, order_text = line.partition(",")
@@ -151,6 +152,8 @@ def _parse_legacy(lines) -> PrefLibDocument:
         )
     if sum(mult for mult, _ in order_lines) != total:
         raise PrefLibParseError("header multiplicity total does not match order lines")
+    if voters != total:
+        raise PrefLibParseError(f"header declares {voters} voters, order lines have {total}")
     return PrefLibDocument((), tuple(alternatives), tuple(order_lines))
 
 
@@ -219,19 +222,19 @@ def expand_voters(doc: PrefLibDocument) -> Election:
     ValueError, and `expand_scores` reads it as scores instead."""
     if not doc.is_strict:
         raise ValueError("the file has ties; read it as scores with expand_scores")
-    names = [name for _, name in doc.alternatives]
     orders = _expanded_orders(doc)
     profile = StrictProfile(tuple(tuple(g[0] for g in order) for order in orders))
-    return Election(_candidates(doc.m, names), _voters(len(orders)), profile)
+    names = tuple(name for _, name in doc.alternatives)
+    return Election(names, range(1, len(orders) + 1), profile)
 
 
 def expand_scores(doc: PrefLibDocument) -> Election:
     """One voter per unit of multiplicity, in file order, as a ScoreMatrix
     from `tied_to_scores`. Reads strict files and files with ties alike."""
-    names = [name for _, name in doc.alternatives]
     orders = _expanded_orders(doc)
     scores = tied_to_scores(TiedProfile(tuple(orders)), doc.m)
-    return Election(_candidates(doc.m, names), _voters(len(orders)), scores)
+    names = tuple(name for _, name in doc.alternatives)
+    return Election(names, range(1, len(orders) + 1), scores)
 
 
 def tied_to_scores(profile: TiedProfile, m: int) -> ScoreMatrix:

@@ -1,9 +1,11 @@
 import csv
+import hashlib
 import json
+import random
 
 import pytest
 
-from ballotcontrol import parse_lp
+from ballotcontrol import MODES, RULES, SUPPORTED_CONTROL_PAIRS, parse_lp
 from ballotcontrol.cli import main
 
 WORKED_SOC = """\
@@ -99,6 +101,14 @@ class TestWinner:
         code, _, err = run(capsys, "winner", "--rule", "condorcet", "--input", str(path))
         assert code == 2
         assert "cannot parse" in err
+
+    def test_legacy_voter_count_mismatch_exit_code(self, capsys, tmp_path):
+        # the header declares 99 voters over multiplicities that sum to 3
+        path = tmp_path / "bad.soc"
+        path.write_text("3\n1,a\n2,b\n3,c\n99,3,2\n2,1,2,3\n1,3,2,1\n")
+        code, out, err = run(capsys, "winner", "--rule", "condorcet", "--input", str(path))
+        assert (code, out) == (2, "")
+        assert "99 voters" in err
 
 
 class TestControl:
@@ -420,3 +430,139 @@ class TestBench:
         assert code == 0
         assert "c.soc" in err and "cannot parse" in err
         assert out_path.read_text().splitlines()[1] == "c.soc,,,Error,,,"
+
+
+# Byte-for-byte pins of the command line. A seeded sweep writes three small
+# files of each kind (legacy, '#'-metadata, legacy with ties, .csv scores)
+# and runs `winner` under every rule, and `control`, `verify` and
+# `control --engine export-only` under every supported (rule, action) pair
+# and one unsupported pair, in both modes, with targets 1, m and m + 1.
+# Each table entry hashes the argv, exit code and stdout of every call of
+# one command on one kind (temporary paths replaced by "<tmp>") and the
+# LP and MPS files the call wrote. The table was computed before elections
+# held plain candidate names and a voter range, when answers to targets
+# other than 1 were still relabeled back after the recheck.
+
+GOLDEN_CLI = {
+    ("winner", "legacy"): (
+        "edf891074ac14ebdb6721991443db559c2d88013310694d1c6b64cfc2c171ef2"
+    ),
+    ("winner", "modern"): (
+        "0a6042fd908b2e42adee992df683161083b74739d11c86a388cb36669f61820d"
+    ),
+    ("winner", "tied"): (
+        "0fd1eea4ea254c1149b3fbaddaeb087bd8c4511837b0bbc6d9c51ac073195037"
+    ),
+    ("winner", "csv"): (
+        "cacd7975ae052abc9d8a4e5aca13c133e64763b0b3aa5498d215c653b365ad6c"
+    ),
+    ("control", "legacy"): (
+        "7268016b599b77f3cbf64fce5e7c714376867ce3e1a0e31a00f3cb1f605d45ec"
+    ),
+    ("control", "modern"): (
+        "ed482bcb779ec3e1f5475ec139138cb434f8a9d811a7899058b9b145385b785e"
+    ),
+    ("control", "tied"): (
+        "664b17aceacf67fa727fd09a25338d4add82192eaa7a93707b0fa429b59317f3"
+    ),
+    ("control", "csv"): (
+        "31e05d6d9fbe5b7c491359cab641929818cd2422822409ba2d0cce2f56068ee8"
+    ),
+    ("verify", "legacy"): (
+        "68ad43d870436364f9b3ee88d1fc8e022e727a230333bd0b4faf8ae4c93a141a"
+    ),
+    ("verify", "modern"): (
+        "941f6cfcc7e15fdf6d78e52cf2e12afc232fa3ede4f9b0f5ff07d50177e64fdf"
+    ),
+    ("verify", "tied"): (
+        "082f940ff866da6950a0115761b1825b43f33d386ceb5411ee89f03d3d35d004"
+    ),
+    ("verify", "csv"): (
+        "825f079d6dfff68672e1154bf86ffb070a26fd160a592e50f48a3e954947da43"
+    ),
+    ("export", "legacy"): (
+        "6659f15c454b4094a359b8f6ac5325506e7aa81151089f80026b91ea7d154546"
+    ),
+    ("export", "modern"): (
+        "c7f0df33e650c227498492565395130fad1adf683f7c4337af72dc2af56328e4"
+    ),
+    ("export", "tied"): (
+        "0ad9772a14b6139f669aa53cac024f8a40b57ee9db2abf8baa87795ef32ea92c"
+    ),
+    ("export", "csv"): (
+        "cc006eca5773af90273b3fae28b565056e205769427e411ca8545e736ea6b4ab"
+    ),
+}
+
+_GOLDEN_KINDS = ("legacy", "modern", "tied", "csv")
+_GOLDEN_PAIRS = sorted(SUPPORTED_CONTROL_PAIRS) + [("plurality", "delete-voters")]
+
+
+def _golden_order(rng, m, ties):
+    order = rng.sample(range(1, m + 1), m)
+    if not ties:
+        return ",".join(map(str, order))
+    items = []
+    while order:
+        size = rng.randint(1, len(order))
+        group, order = sorted(order[:size]), order[size:]
+        items.append(str(group[0]) if size == 1 else "{" + ",".join(map(str, group)) + "}")
+    return ",".join(items)
+
+
+def _golden_text(rng, kind):
+    """One small input file of `kind`; returns (suffix, text, m)."""
+    m = rng.randint(1, 4)
+    if kind == "csv":
+        n = rng.randint(1, 5)
+        rows = [",".join(str(rng.randint(0, 3)) for _ in range(n)) for _ in range(m)]
+        return ".csv", "\n".join([str(n)] + rows) + "\n", m
+    lines = [(rng.randint(1, 2), _golden_order(rng, m, kind == "tied")) for _ in range(rng.randint(1, 4))]
+    total = sum(mult for mult, _ in lines)
+    names = [f"{kind[0].upper()}{rng.randrange(100)}" for _ in range(m)]
+    if kind == "modern":
+        head = [f"# NUMBER ALTERNATIVES: {m}", f"# NUMBER VOTERS: {total}"]
+        head += [f"# ALTERNATIVE NAME {i}: {name}" for i, name in enumerate(names, start=1)]
+        body = [f"{mult}: {order}" for mult, order in lines]
+        return ".soi", "\n".join(head + body) + "\n", m
+    head = [str(m)] + [f"{i},{name}" for i, name in enumerate(names, start=1)]
+    head.append(f"{total},{total},{len(lines)}")
+    body = [f"{mult},{order}" for mult, order in lines]
+    return (".toc" if kind == "tied" else ".soc"), "\n".join(head + body) + "\n", m
+
+
+def _golden_calls(command, path, m):
+    if command == "winner":
+        for rule in RULES:
+            yield ["winner", "--rule", rule, "--input", path]
+        return
+    extra = ["--engine", "export-only"] if command == "export" else []
+    for rule, action in _GOLDEN_PAIRS:
+        for mode in MODES:
+            for target in sorted({1, m, m + 1}):
+                yield [
+                    "verify" if command == "verify" else "control",
+                    "--rule", rule, "--action", action, "--mode", mode,
+                    "--target", str(target), "--input", path, *extra,
+                ]
+
+
+@pytest.mark.parametrize("kind", _GOLDEN_KINDS)
+@pytest.mark.parametrize("command", ["winner", "control", "verify", "export"])
+def test_cli_golden_digests(capsys, tmp_path, command, kind):
+    rng = random.Random(_GOLDEN_KINDS.index(kind))
+    digest = hashlib.sha256()
+    for number in range(3):
+        suffix, text, m = _golden_text(rng, kind)
+        path = tmp_path / f"in{number}{suffix}"
+        path.write_text(text)
+        for argv in _golden_calls(command, str(path), m):
+            code = main(argv)
+            out = capsys.readouterr().out
+            record = [" ".join(argv), str(code), out]
+            for written in (path.with_suffix(".lp"), path.with_suffix(".mps")):
+                if written.exists():
+                    record.append(written.read_text())
+                    written.unlink()
+            digest.update("\0".join(record).replace(str(tmp_path), "<tmp>").encode() + b"\1")
+    assert digest.hexdigest() == GOLDEN_CLI[(command, kind)]

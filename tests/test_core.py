@@ -50,6 +50,23 @@ class TestTypes:
                 StrictProfile(((1, 2),)),
             )
 
+    @pytest.mark.parametrize("voters", [(1, 2), range(0, 2), range(1, 2), range(1, 4)])
+    def test_election_voters_must_be_range_from_one(self, voters):
+        election = Election.from_rankings([(1, 2), (2, 1)])
+        with pytest.raises(ValueError):
+            Election(election.candidates, voters, election.preferences)
+
+    def test_election_fields_pass_back_to_constructor(self):
+        strict = Election.from_rankings([(2, 1), (1, 2), (2, 1)])
+        scores = Election.from_scores([[1, 1, 0], [0, 2, 1]])
+        for election in (strict, scores):
+            assert election.candidates == ("c1", "c2")
+            assert election.voters == range(1, 4)
+            for payload in (strict.preferences, scores.preferences):
+                again = Election(election.candidates, election.voters, payload)
+                assert again == Election(("c1", "c2"), range(1, 4), payload)
+                assert again.candidate_name(2) == "c2"
+
     def test_election_rejects_tied_payload(self):
         election = Election.from_rankings([(1, 2)])
         with pytest.raises(TypeError):
@@ -154,7 +171,7 @@ class TestRestrictToCandidates:
         restricted = restrict_to_candidates(worked_election, {1, 4})
         # kept candidates relabeled 1..2 in ascending original order
         assert restricted.preferences.rankings == ((1, 2), (1, 2), (2, 1))
-        assert [c.name for c in restricted.candidates] == ["c1", "c4"]
+        assert restricted.candidates == ("c1", "c4")
 
     def test_singleton(self, worked_election):
         restricted = restrict_to_candidates(worked_election, {1})

@@ -5,12 +5,14 @@ import pytest
 
 from ballotcontrol import (
     Assignment,
+    MODES,
     ControlSpec,
     Election,
     ScoreMatrix,
     StrictProfile,
     VerificationError,
     bucklin_position_cube,
+    build_problem,
     decode,
     dominance_cube,
     dominance_row_matrix,
@@ -22,8 +24,9 @@ from ballotcontrol import (
     encode_pe,
     encode_re,
     solve,
+    swap_index,
 )
-from genutil import enumerate_binary_optimum, models_equal, random_profile
+from genutil import enumerate_binary_optimum, models_equal, random_election, random_profile
 
 WORKED_ROW_MATRIX = ((1, 1, 0), (1, 1, 0), (1, 1, 0))
 
@@ -351,3 +354,34 @@ class TestDecode:
         values["x_2"] = 1  # keeps only a rival: the target cannot win
         with pytest.raises(VerificationError):
             decode(problem, Assignment(values), worked_election, spec)
+
+    @pytest.mark.parametrize("rule", ["plurality", "bucklin"])
+    def test_answers_in_the_callers_labels(self, rule):
+        """Decoding on the caller's election equals decoding on the
+        normalized one with every index mapped back through the swap."""
+        rng = random.Random(rule)
+        checked = 0
+        for _ in range(40):
+            m = rng.randint(2, 5)
+            election = random_election(rng, rng.randint(1, 6), m)
+            spec = ControlSpec(rule, "delete-candidates", rng.choice(MODES), rng.randint(2, m))
+            problem, norm_election, norm_spec = build_problem(election, spec)
+            result = solve(problem.model)
+            if result.status != "Optimal":
+                continue
+            got = decode(problem, result.incumbent, election, spec)
+            norm = decode(problem, result.incumbent, norm_election, norm_spec)
+            kept, deleted = (
+                tuple(sorted(swap_index(i, 1, spec.target) for i in ids))
+                for ids in (norm.kept, norm.deleted)
+            )
+            assert (got.kept, got.deleted) == (kept, deleted)
+            assert (got.objective, got.status) == (norm.objective, norm.status)
+            winner = norm.verification["winner"]
+            assert got.verification == dict(
+                norm.verification,
+                target=spec.target,
+                winner=None if winner is None else swap_index(winner, 1, spec.target),
+            )
+            checked += 1
+        assert checked >= 20

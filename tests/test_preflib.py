@@ -76,6 +76,11 @@ class TestParse:
         with pytest.raises(PrefLibParseError):
             parse_preflib("2\n1,A\n2,B\n5,5,1\n1,1,2\n")
 
+    def test_voter_count_mismatch_rejected(self):
+        # 99 voters declared over multiplicities that sum to 3
+        with pytest.raises(PrefLibParseError, match="99 voters"):
+            parse_preflib("3\n1,a\n2,b\n3,c\n99,3,2\n2,1,2,3\n1,3,2,1\n")
+
     def test_empty_input_rejected(self):
         with pytest.raises(PrefLibParseError):
             parse_preflib("\n\n")
@@ -147,7 +152,7 @@ class TestExpandVoters:
         assert isinstance(election.preferences, ScoreMatrix)
         # voter 2 puts C first and ties {A, B} in the second group
         assert election.preferences.scores == ((2, 1), (1, 1), (0, 2))
-        assert [c.name for c in election.candidates] == ["A", "B", "C"]
+        assert election.candidates == ("A", "B", "C")
 
     def test_scores_of_strict_file(self):
         election = expand_scores(parse_preflib("2\n1,A\n2,B\n3,3,2\n2,1,2\n1,2,1\n"))
