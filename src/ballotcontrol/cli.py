@@ -10,7 +10,7 @@ Exit codes: 0 success (an Infeasible control answer is a success),
 1 verify mismatch, 2 unreadable input or output (a missing file, a
 directory, bytes that are not UTF-8) or invalid arguments (a time limit
 must be a positive number of seconds, a target a candidate index from 1),
-3 rule/profile mismatch,
+3 rule/profile mismatch or a target above the candidate count,
 4 unsupported (rule, action) pair, 5 oracle enumeration limit exceeded.
 
 Inputs ending in .csv are read as score matrices (first row the voter
@@ -127,8 +127,6 @@ def cmd_winner(args) -> int:
 def cmd_control(args) -> int:
     spec = _control_spec(args)
     election = _read_election(args.input, args.rule)
-    if spec.target > election.m:
-        raise CliError(EXIT_PROFILE, f"target {spec.target} is not a candidate index")
     if args.engine == "export-only":
         problem, _, _ = build_problem(election, spec)
         stem = Path(args.input).with_suffix("")
@@ -164,8 +162,6 @@ def cmd_control(args) -> int:
 def cmd_verify(args) -> int:
     spec = _control_spec(args)
     election = _read_election(args.input, args.rule)
-    if spec.target > election.m:
-        raise CliError(EXIT_PROFILE, f"target {spec.target} is not a candidate index")
     try:
         oracle = brute_force_control(election, spec, limit=VERIFY_LIMIT)
     except OracleLimitError as exc:
@@ -192,71 +188,34 @@ def cmd_bench(args) -> int:
     suite = Path(args.suite)
     if not suite.is_dir():
         raise CliError(EXIT_PARSE, f"{args.suite} is not a directory")
-    if (args.rule, args.action) not in SUPPORTED_CONTROL_PAIRS:
-        raise CliError(
-            EXIT_UNSUPPORTED, f"unsupported control pair ({args.rule}, {args.action})"
-        )
+    spec = _control_spec(args)
+    config = SolverConfig(time_limit=args.timeout)
     rows = []
+    timings = []
     for path in sorted(p for p in suite.iterdir() if p.is_file()):
         try:
             election = _read_election(str(path), args.rule)
-            spec = ControlSpec(args.rule, args.action, "constructive", 1)
-            outcome = solve_control(
-                election, spec, SolverConfig(time_limit=args.timeout)
-            )
-            status = outcome.solution.status
-            if status == "TimeLimit":
-                status = "TimedOut"
-            rows.append(
-                {
-                    "file": path.name,
-                    "m": election.m,
-                    "n": election.n,
-                    "status": status,
-                    "objective": outcome.solution.objective,
-                    "wall_time": round(outcome.solve_result.wall_time, 3),
-                    "nodes": outcome.solve_result.nodes_explored,
-                }
-            )
+            outcome = solve_control(election, spec, config)
         except (CliError, ValueError, TypeError) as exc:
             print(f"error: {path.name}: {exc}", file=sys.stderr)
-            rows.append(
-                {
-                    "file": path.name,
-                    "m": "",
-                    "n": "",
-                    "status": "Error",
-                    "objective": "",
-                    "wall_time": "",
-                    "nodes": "",
-                }
-            )
+            rows.append([path.name, "", "", "Error", "", "", ""])
+            continue
+        solution, result = outcome.solution, outcome.solve_result
+        status = "TimedOut" if solution.status == "TimeLimit" else solution.status
+        wall = round(result.wall_time, 3)
+        objective = "" if solution.objective is None else solution.objective
+        rows.append(
+            [path.name, election.m, election.n, status, objective, wall, result.nodes_explored]
+        )
+        timings.append((election.m, wall))
     with open(args.out, "w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(["file", "m", "n", "status", "objective", "wall_time", "nodes"])
-        for row in rows:
-            writer.writerow(
-                [
-                    row["file"],
-                    row["m"],
-                    row["n"],
-                    row["status"],
-                    "" if row["objective"] is None else row["objective"],
-                    row["wall_time"],
-                    row["nodes"],
-                ]
-            )
+        writer.writerows(rows)
         writer.writerow([])
         writer.writerow(["class", "count", "min", "median", "average", "max"])
         for label, low, high in _BENCH_CLASSES:
-            times = [
-                row["wall_time"]
-                for row in rows
-                if isinstance(row["m"], int)
-                and row["m"] >= low
-                and (high is None or row["m"] <= high)
-                and row["wall_time"] != ""
-            ]
+            times = [w for m, w in timings if m >= low and (high is None or m <= high)]
             if times:
                 writer.writerow(
                     [
@@ -333,7 +292,7 @@ def _build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--action", required=True, choices=ACTIONS)
     bench.add_argument("--timeout", type=_positive_seconds, default=None)
     bench.add_argument("--out", required=True)
-    bench.set_defaults(func=cmd_bench)
+    bench.set_defaults(func=cmd_bench, mode="constructive", target=1)
     return parser
 
 

@@ -10,6 +10,7 @@ threads.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from numbers import Integral
 from typing import Iterable, Union
 
 RULES = ("range", "condorcet", "plurality", "maximin", "bucklin")
@@ -98,7 +99,9 @@ class ScoreMatrix:
         for row in self.scores:
             if len(row) != n:
                 raise ValueError("score matrix rows have unequal lengths")
-            if any(s < 0 for s in row):
+            if not all(issubclass(t, Integral) for t in set(map(type, row))):
+                raise ValueError("scores must be integers")
+            if min(row) < 0:
                 raise ValueError("scores must be non-negative")
 
     @property

@@ -9,8 +9,9 @@ Two layouts are supported and autodetected:
   line is "multiplicity,item,item,..." where an item is either a candidate
   index or a brace-delimited tie group "{i,j,...}".
 * modern: metadata lines "# KEY: VALUE" (NUMBER ALTERNATIVES, NUMBER
-  VOTERS, ALTERNATIVE NAME k, ...) followed by order lines
-  "multiplicity: item,item,...".
+  VOTERS, NUMBER UNIQUE ORDERS, ALTERNATIVE NAME k, ...) followed by
+  order lines "multiplicity: item,item,...". Declared counts must match
+  the order lines.
 
 Serialization always emits the legacy layout with the exact field order
 above. Every order line must cover all m alternatives exactly once.
@@ -187,6 +188,12 @@ def _parse_modern(lines) -> PrefLibDocument:
         declared = _parse_int(meta["NUMBER VOTERS"], "voter count")
         if declared != sum(mult for mult, _ in order_lines):
             raise PrefLibParseError("NUMBER VOTERS does not match order-line multiplicities")
+    if "NUMBER UNIQUE ORDERS" in meta:
+        unique = _parse_int(meta["NUMBER UNIQUE ORDERS"], "unique order count")
+        if unique != len(order_lines):
+            raise PrefLibParseError(
+                f"header declares {unique} unique orders, file has {len(order_lines)}"
+            )
     return PrefLibDocument(tuple(metadata), alternatives, tuple(order_lines))
 
 

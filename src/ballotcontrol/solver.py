@@ -380,10 +380,14 @@ def solve(model: LinearProgram, config: Optional[SolverConfig] = None) -> SolveR
             incumbent_val = value
         return True
 
-    def _fix(lo, hi, idx, point):
-        values = np.clip(np.round(point[idx]), lo[idx], hi[idx])
+    def fixed(bounds, idx, values):
+        """Copies of `bounds` with `idx` fixed to `values` clipped into their
+        boxes, then propagated; None when propagation proves them empty."""
+        lo, hi = bounds[0].copy(), bounds[1].copy()
+        values = np.clip(values, lo[idx], hi[idx])
         lo[idx] = values
         hi[idx] = values
+        return (lo, hi) if _propagate(sf, lo, hi) else None
 
     def dive(lower, upper, x):
         """Fix-and-propagate diving. Each round fixes the near-integral
@@ -395,38 +399,28 @@ def solve(model: LinearProgram, config: Optional[SolverConfig] = None) -> SolveR
         """
         if not int_idx.size:
             return
-        bounds_lo, bounds_hi = lower.copy(), upper.copy()
+        bounds = (lower, upper)
         point = x
         for _ in range(12):
             rounded = np.round(point[int_idx])
             dist = np.abs(point[int_idx] - rounded)
             near = dist <= INTEGRALITY_TOL
-            _fix(bounds_lo, bounds_hi, int_idx[near & obj_support], point)
-            if not _propagate(sf, bounds_lo, bounds_hi):
+            pinned = near & obj_support
+            bounds = fixed(bounds, int_idx[pinned], rounded[pinned])
+            if bounds is None:
                 return
-            rest = int_idx[near & ~obj_support]
-            if rest.size:
-                trial_lo, trial_hi = bounds_lo.copy(), bounds_hi.copy()
-                _fix(trial_lo, trial_hi, rest, point)
-                if _propagate(sf, trial_lo, trial_hi):
-                    bounds_lo, bounds_hi = trial_lo, trial_hi
+            rest = near & ~obj_support
+            if rest.any():
+                bounds = fixed(bounds, int_idx[rest], rounded[rest]) or bounds
             if not near.all():
                 var = int(int_idx[~near][np.argmax(dist[~near])])
-                value = float(np.round(point[var]))
-                value = min(max(value, bounds_lo[var]), bounds_hi[var])
-                trial_lo, trial_hi = bounds_lo.copy(), bounds_hi.copy()
-                trial_lo[var] = value
-                trial_hi[var] = value
-                if not _propagate(sf, trial_lo, trial_hi):
-                    other = np.ceil(point[var]) if value == np.floor(point[var]) else np.floor(point[var])
-                    other = min(max(float(other), bounds_lo[var]), bounds_hi[var])
-                    trial_lo, trial_hi = bounds_lo.copy(), bounds_hi.copy()
-                    trial_lo[var] = other
-                    trial_hi[var] = other
-                    if not _propagate(sf, trial_lo, trial_hi):
-                        return
-                bounds_lo, bounds_hi = trial_lo, trial_hi
-            status, px, _ = lp(bounds_lo, bounds_hi)
+                down, up = np.floor(point[var]), np.ceil(point[var])
+                value = np.clip(np.round(point[var]), bounds[0][var], bounds[1][var])
+                other = up if value == down else down
+                bounds = fixed(bounds, var, value) or fixed(bounds, var, other)
+                if bounds is None:
+                    return
+            status, px, _ = lp(*bounds)
             if status != "optimal":
                 return
             if try_incumbent(px):

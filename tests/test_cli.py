@@ -110,6 +110,17 @@ class TestWinner:
         assert (code, out) == (2, "")
         assert "99 voters" in err
 
+    def test_modern_unique_order_count_mismatch_exit_code(self, capsys, tmp_path):
+        # the header declares 7 unique orders over 2 order lines
+        path = tmp_path / "bad.soc"
+        path.write_text(
+            "# NUMBER ALTERNATIVES: 3\n# NUMBER VOTERS: 3\n# NUMBER UNIQUE ORDERS: 7\n"
+            "2: 1,2,3\n1: 3,2,1\n"
+        )
+        code, out, err = run(capsys, "winner", "--rule", "condorcet", "--input", str(path))
+        assert (code, out) == (2, "")
+        assert "7 unique orders" in err
+
 
 class TestControl:
     def test_condorcet_keeps_everyone(self, capsys, soc_file):

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -41,6 +42,23 @@ class TestTypes:
     def test_score_matrix_rejects_negative(self):
         with pytest.raises(ValueError):
             ScoreMatrix(((1, -1),))
+
+    @pytest.mark.parametrize(
+        "scores",
+        [
+            # the control program's ">= 1" margin holds for integers only:
+            # these two once gave wrong range voter-deletion answers
+            [[2.5, 0], [1, 1]],
+            [[0.1, 0.2], [0.3, 0.0]],
+        ],
+    )
+    def test_score_matrix_rejects_non_integers(self, scores):
+        with pytest.raises(ValueError, match="integers"):
+            Election.from_scores(scores)
+
+    def test_score_matrix_accepts_numpy_integers(self):
+        election = Election.from_scores(np.array([[2, 0], [1, 1]]))
+        assert election.preferences.scores == ((2, 0), (1, 1))
 
     def test_election_dimension_check(self):
         with pytest.raises(ValueError):

@@ -6,10 +6,11 @@ from ballotcontrol import (
     ControlSpec,
     Election,
     OracleLimitError,
+    SUPPORTED_CONTROL_PAIRS,
     brute_force_control,
     swap_index,
 )
-from genutil import random_election
+from genutil import random_election, random_score_election
 
 
 class TestBruteForce:
@@ -61,26 +62,44 @@ class TestBruteForce:
         assert solution.kept == (1, 2)
         assert solution == brute_force_control(election, spec)
 
+    def test_target_beyond_candidates_rejected_before_limit(self):
+        # 2^8 voter subsets exceed the limit too, but the target check
+        # comes first
+        election = random_election(random.Random(0), 8, 3)
+        spec = ControlSpec("condorcet", "delete-voters", "constructive", 4)
+        with pytest.raises(ValueError, match="not a candidate index"):
+            brute_force_control(election, spec, limit=100)
+
     @pytest.mark.parametrize("seed", range(15))
     def test_relabeling_invariance(self, seed):
+        # The oracle enumerates in the caller's labels, so asking for the
+        # target directly and for 1 after relabeling by hand with the
+        # (1 target) transposition are two independent computations.
         rng = random.Random(seed)
-        m, n = rng.randint(2, 4), rng.randint(1, 6)
-        election = random_election(rng, n, m)
-        target = rng.randint(1, m)
-        mode = rng.choice(("constructive", "destructive"))
-        spec = ControlSpec("bucklin", "delete-voters", mode, target)
-        direct = brute_force_control(election, spec)
-
-        # relabel by hand with the (1 target) transposition and re-ask for 1
-        swapped = Election.from_rankings(
-            tuple(
-                tuple(swap_index(c, 1, target) for c in r)
-                for r in election.preferences.rankings
-            )
-        )
-        relabeled = brute_force_control(
-            swapped, ControlSpec("bucklin", "delete-voters", mode, 1)
-        )
-        assert direct.status == relabeled.status
-        assert direct.objective == relabeled.objective
-        assert direct.kept == relabeled.kept
+        for rule, action in sorted(SUPPORTED_CONTROL_PAIRS):
+            voters = action == "delete-voters"
+            m, n = rng.randint(2, 4), rng.randint(1, 6)
+            target = rng.randint(1 if voters else 2, m)
+            mode = rng.choice(("constructive", "destructive"))
+            if rule == "range":
+                election = random_score_election(rng, n, m, 3)
+                scores = election.preferences.scores
+                swapped = Election.from_scores(
+                    [scores[swap_index(c, 1, target) - 1] for c in range(1, m + 1)]
+                )
+            else:
+                election = random_election(rng, n, m)
+                swapped = Election.from_rankings(
+                    tuple(
+                        tuple(swap_index(c, 1, target) for c in r)
+                        for r in election.preferences.rankings
+                    )
+                )
+            direct = brute_force_control(election, ControlSpec(rule, action, mode, target))
+            relabeled = brute_force_control(swapped, ControlSpec(rule, action, mode, 1))
+            case = (rule, action, mode, target, election)
+            assert direct.status == relabeled.status, case
+            assert direct.objective == relabeled.objective, case
+            if voters:
+                # candidate kept sets may tie-break differently across labels
+                assert direct.kept == relabeled.kept, case

@@ -81,6 +81,12 @@ class TestParse:
         with pytest.raises(PrefLibParseError, match="99 voters"):
             parse_preflib("3\n1,a\n2,b\n3,c\n99,3,2\n2,1,2,3\n1,3,2,1\n")
 
+    def test_modern_unique_order_count_mismatch_rejected(self):
+        # 7 unique orders declared over 2 order lines
+        text = MODERN_SAMPLE.replace("UNIQUE ORDERS: 2", "UNIQUE ORDERS: 7")
+        with pytest.raises(PrefLibParseError, match="7 unique orders"):
+            parse_preflib(text)
+
     def test_empty_input_rejected(self):
         with pytest.raises(PrefLibParseError):
             parse_preflib("\n\n")
