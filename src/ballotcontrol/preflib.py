@@ -126,6 +126,25 @@ def _parse_order_line(mult_token: str, order_text: str, m: int) -> OrderLine:
     return mult, _parse_order(order_text, m)
 
 
+def _check_counts(order_lines, voters, unique, total=None):
+    """Check the order lines against the header's declared voter count,
+    unique order count and (legacy only) multiplicity total; a count the
+    header does not declare is None."""
+    if not order_lines:
+        raise PrefLibParseError("file contains no order lines")
+    if unique is not None and unique != len(order_lines):
+        raise PrefLibParseError(
+            f"header declares {unique} unique orders, file has {len(order_lines)}"
+        )
+    have = sum(mult for mult, _ in order_lines)
+    if voters is not None and voters != have:
+        raise PrefLibParseError(f"header declares {voters} voters, order lines have {have}")
+    if total is not None and total != have:
+        raise PrefLibParseError(
+            f"header declares a multiplicity total of {total}, order lines have {have}"
+        )
+
+
 def _parse_legacy(lines) -> PrefLibDocument:
     m = _parse_int(lines[0], "alternative count")
     if m < 1 or len(lines) < m + 2:
@@ -145,16 +164,7 @@ def _parse_legacy(lines) -> PrefLibDocument:
     for line in lines[m + 2 :]:
         mult_token, _, order_text = line.partition(",")
         order_lines.append(_parse_order_line(mult_token, order_text, m))
-    if not order_lines:
-        raise PrefLibParseError("file contains no order lines")
-    if len(order_lines) != unique:
-        raise PrefLibParseError(
-            f"header declares {unique} unique orders, file has {len(order_lines)}"
-        )
-    if sum(mult for mult, _ in order_lines) != total:
-        raise PrefLibParseError("header multiplicity total does not match order lines")
-    if voters != total:
-        raise PrefLibParseError(f"header declares {voters} voters, order lines have {total}")
+    _check_counts(order_lines, voters, unique, total)
     return PrefLibDocument((), tuple(alternatives), tuple(order_lines))
 
 
@@ -182,18 +192,13 @@ def _parse_modern(lines) -> PrefLibDocument:
         if not sep:
             raise PrefLibParseError(f"order line {line!r} lacks a multiplicity")
         order_lines.append(_parse_order_line(mult_token, order_text, m))
-    if not order_lines:
-        raise PrefLibParseError("file contains no order lines")
-    if "NUMBER VOTERS" in meta:
-        declared = _parse_int(meta["NUMBER VOTERS"], "voter count")
-        if declared != sum(mult for mult, _ in order_lines):
-            raise PrefLibParseError("NUMBER VOTERS does not match order-line multiplicities")
-    if "NUMBER UNIQUE ORDERS" in meta:
-        unique = _parse_int(meta["NUMBER UNIQUE ORDERS"], "unique order count")
-        if unique != len(order_lines):
-            raise PrefLibParseError(
-                f"header declares {unique} unique orders, file has {len(order_lines)}"
-            )
+    voters = meta.get("NUMBER VOTERS")
+    unique = meta.get("NUMBER UNIQUE ORDERS")
+    _check_counts(
+        order_lines,
+        None if voters is None else _parse_int(voters, "voter count"),
+        None if unique is None else _parse_int(unique, "unique order count"),
+    )
     return PrefLibDocument(tuple(metadata), alternatives, tuple(order_lines))
 
 

@@ -3,9 +3,11 @@
 Every LP relaxation of one `solve()` goes to a single HiGHS instance: the
 model is passed once, and each node, dive step and probe only changes the
 column bounds and re-runs the dual simplex from the previous basis. The
-binding is scipy's private `scipy.optimize._highspy._core` (scipy 1.15 and
-later), loaded directly so that a fresh process does not pay for importing
-all of `scipy.optimize`.
+rows are plain numpy CSR arrays. Two of scipy's compiled extensions do the
+work: the HiGHS binding `scipy.optimize._highspy._core` (scipy 1.15 and
+later) and the sparse kernels of `scipy.sparse._sparsetools`. Both are
+loaded straight from their files, so a fresh process imports neither the
+`scipy` package nor `scipy.optimize` nor `scipy.sparse`.
 On top sits a best-first branch and bound: node selection by best dual
 bound (ties broken by depth, then creation order, with the down branch
 created first), branching on the most fractional integral variable (ties
@@ -99,18 +101,19 @@ INTEGRALITY_TOL = 1e-5
 class _StandardForm:
     """Arrays shared by every LP solve of one model.
 
-    The rows are one CSR `matrix` with `row_lower <= matrix @ x <= row_upper`,
-    where a side the row does not bound is infinite: a `<=` row has
-    `row_lower = -inf`, a `>=` row `row_upper = +inf`, and an `=` row its
-    right-hand side on both. HiGHS gets the rows in this two-sided form,
-    and `propagation_data` writes them once more in the one-sided form
-    `A @ x <= b`. The columns have finite boxes `lower`/`upper`, and `obj`
-    is the objective, internally always maximized.
+    The rows are the plain CSR arrays `rows = (indptr, indices, data)` of
+    a matrix `A`, with `indptr` and `indices` int32 and each row's nonzero
+    terms in the order of its constraint, and `row_lower <= A @ x <=
+    row_upper`, where a side the row does not bound is infinite: a `<=`
+    row has `row_lower = -inf`, a `>=` row `row_upper = +inf`, and an `=`
+    row its right-hand side on both. HiGHS gets the rows in this
+    two-sided form, and `propagation_data` writes them once more in the
+    one-sided form `A @ x <= b`. The columns have finite boxes
+    `lower`/`upper`, and `obj` is the objective, internally always
+    maximized.
     """
 
     def __init__(self, model: LinearProgram):
-        from scipy.sparse import csr_matrix
-
         self.names = [v.name for v in model.variables]
         self.ncols = len(self.names)
         if self.ncols == 0:
@@ -129,60 +132,88 @@ class _StandardForm:
         rows = model.constraints
         self.nrows = len(rows)
         terms = [term for c in rows for term in c.terms]
-        self.matrix = csr_matrix(
-            (
-                np.fromiter((coef for _, coef in terms), float, len(terms)),
-                np.fromiter((index[name] for name, _ in terms), np.int64, len(terms)),
-                np.cumsum([0] + [len(c.terms) for c in rows]),
-            ),
-            shape=(self.nrows, self.ncols),
-        )
-        self.matrix.eliminate_zeros()
+        data = np.fromiter((coef for _, coef in terms), float, len(terms))
+        indices = np.fromiter((index[name] for name, _ in terms), np.int32, len(terms))
+        indptr = np.zeros(self.nrows + 1, dtype=np.int32)
+        np.cumsum(np.fromiter((len(c.terms) for c in rows), np.int32, self.nrows), out=indptr[1:])
+        self.rows = _entries_where((indptr, indices, data), data != 0)
         bound = np.array([float(c.rhs) for c in rows])
         self.row_lower = np.where([c.sense != "<=" for c in rows], bound, -np.inf)
         self.row_upper = np.where([c.sense != ">=" for c in rows], bound, np.inf)
         self._prop = None
 
     def feasible_point(self, x: np.ndarray, tol: float) -> bool:
-        acts = self.matrix @ x
+        acts = _matvec(self.rows, x)
         return not (
             np.any(acts > self.row_upper + tol) or np.any(acts < self.row_lower - tol)
         )
 
     def propagation_data(self):
-        """The rows as `A @ x <= b` for `_propagate`: `A = [matrix[bounded
-        above]; -matrix[bounded below]]` and `b = [row_upper; -row_lower]`
-        on the same rows, so a `>=` row is negated and an `=` row appears
-        both ways. Returns `b`, the positive and the negative entries of
-        `A` as two matrices of its shape, and `_by_column` of each."""
+        """The rows as `A @ x <= b` for `_propagate`: the rows bounded
+        above, then the negated rows bounded below, each with its entries
+        in term order, so a `>=` row is negated and an `=` row appears both
+        ways, with `b = [row_upper; -row_lower]` on the same rows. Returns
+        `b`, the positive and the negative entries of `A` as plain CSR
+        arrays `(indptr, indices, data)` of its shape, and `_by_column` of
+        each. The rows are gathered and grouped by column with the kernels
+        `scipy.sparse` itself uses for that."""
         if self._prop is None:
-            from scipy.sparse import vstack
-
-            above = np.isfinite(self.row_upper)
-            below = np.isfinite(self.row_lower)
-            matrix = vstack((self.matrix[above], -self.matrix[below]), format="csr")
+            above = np.flatnonzero(np.isfinite(self.row_upper))
+            below = np.flatnonzero(np.isfinite(self.row_lower))
+            picked = np.concatenate((above, below)).astype(np.int32)
             b_ub = np.concatenate((self.row_upper[above], -self.row_lower[below]))
-            pos, neg = matrix.copy(), matrix
-            pos.data[pos.data < 0] = 0.0
-            neg.data[neg.data > 0] = 0.0
-            pos.eliminate_zeros()
-            neg.eliminate_zeros()
-            self._prop = (b_ub, pos, neg, _by_column(pos), _by_column(neg))
+            stacked = np.zeros(picked.size + 1, dtype=np.int32)
+            np.cumsum(np.diff(self.rows[0])[picked], out=stacked[1:])
+            indices = np.empty(stacked[-1], dtype=np.int32)
+            data = np.empty(stacked[-1])
+            _scipy_extension("sparse._sparsetools").csr_row_index(
+                picked.size, picked, *self.rows, indices, data
+            )
+            head = stacked[above.size]
+            data[head:] = -data[head:]
+            pos = _entries_where((stacked, indices, data), data > 0)
+            neg = _entries_where((stacked, indices, data), data < 0)
+            self._prop = (b_ub, pos, neg, _by_column(pos, self.ncols), _by_column(neg, self.ncols))
         return self._prop
 
 
-def _by_column(matrix):
-    """The entries of `matrix` sorted by column, then row, so that
-    `_propagate` can reduce them per column by segments: the row, column
-    and value of each entry, the first entry of each non-empty column, and
-    those columns. Rows and starts are `np.intp`, which numpy would
-    otherwise convert to on every fancy index."""
-    csc = matrix.tocsc()
-    counts = np.diff(csc.indptr)
+def _entries_where(rows, keep):
+    """The CSR arrays `rows` cut to the entries where `keep` holds, each
+    row keeping its entries in their order."""
+    indptr, indices, data = rows
+    kept = np.zeros(keep.size + 1, dtype=np.int32)
+    np.cumsum(keep, out=kept[1:])
+    return kept[indptr], indices[keep], data[keep]
+
+
+def _matvec(rows, x):
+    """`A @ x` for the CSR arrays `rows` of `A`, by the kernel behind
+    `scipy.sparse`'s own product, so every row sums in the same order."""
+    indptr, indices, data = rows
+    out = np.zeros(indptr.size - 1)
+    _scipy_extension("sparse._sparsetools").csr_matvec(
+        indptr.size - 1, x.size, indptr, indices, data, x, out
+    )
+    return out
+
+
+def _by_column(rows, ncols):
+    """The entries of the CSR arrays `rows` sorted by column, then row, so
+    that `_propagate` can reduce them per column by segments: the row,
+    column and value of each entry, the first entry of each non-empty
+    column, and those columns. Rows and starts are `np.intp`, which numpy
+    would otherwise convert to on every fancy index."""
+    indptr, indices, data = rows
+    colptr = np.empty(ncols + 1, dtype=np.int32)
+    row_of = np.empty(indices.size, dtype=np.int32)
+    values = np.empty(data.size)
+    _scipy_extension("sparse._sparsetools").csr_tocsc(
+        indptr.size - 1, ncols, indptr, indices, data, colptr, row_of, values
+    )
+    counts = np.diff(colptr)
     ucols = np.flatnonzero(counts)
-    cols = np.repeat(np.arange(csc.shape[1]), counts)
-    starts = csc.indptr[ucols].astype(np.intp)
-    return csc.indices.astype(np.intp), cols, csc.data, starts, ucols
+    cols = np.repeat(np.arange(ncols), counts)
+    return row_of.astype(np.intp), cols, values, colptr[ucols].astype(np.intp), ucols
 
 
 def _propagate(sf: _StandardForm, lower, upper) -> bool:
@@ -203,12 +234,12 @@ def _propagate(sf: _StandardForm, lower, upper) -> bool:
     """
     if sf.nrows == 0:
         return not np.any(lower > upper + _TOL)
-    b_ub, pos_matrix, neg_matrix, caps_above, caps_below = sf.propagation_data()
+    b_ub, pos, neg, caps_above, caps_below = sf.propagation_data()
     integral = sf.integral
     if np.any(lower > upper + _TOL):
         return False
     for _ in range(50):
-        minact = pos_matrix @ lower + neg_matrix @ upper
+        minact = _matvec(pos, lower) + _matvec(neg, upper)
         if np.any(minact > b_ub + 1e-7):
             return False
         slack = b_ub - minact
@@ -238,38 +269,37 @@ def _propagate(sf: _StandardForm, lower, upper) -> bool:
     return True
 
 
-_HIGHS_MODULE = "scipy.optimize._highspy._core"
+def _scipy_extension(name: str):
+    """The compiled module `scipy.<name>`, loaded straight from its file
+    under its canonical name; raises ImportError when this scipy has none.
 
-
-def _load_highs():
-    """scipy's HiGHS binding; raises ImportError when this scipy has none.
-
-    The extension is loaded straight from its file under its canonical
-    name, because `from scipy.optimize._highspy import _core` first runs
-    `scipy.optimize`'s package `__init__`, which imports every optimizer
-    and dominates the start-up of a process that answers one small
-    question. A later `import scipy.optimize` finds the module in
-    `sys.modules` and reuses it.
+    Importing it the usual way first runs the package `__init__` of
+    `scipy` and of its subpackage, which import far more than the solver
+    uses and dominate the start-up of a process that answers one small
+    question. A later normal import finds the module in `sys.modules` and
+    reuses it.
     """
-    module = sys.modules.get(_HIGHS_MODULE)
+    qualified = f"scipy.{name}"
+    module = sys.modules.get(qualified)
     if module is not None:
         return module
-    import scipy
-
-    folder = Path(scipy.__file__).parent / "optimize" / "_highspy"
+    spec = importlib.util.find_spec("scipy")
+    if spec is None:
+        raise ImportError("the solver requires scipy")
+    *package, stem = name.split(".")
+    folder = Path(spec.origin).parent.joinpath(*package)
     for suffix in importlib.machinery.EXTENSION_SUFFIXES:
-        path = folder / f"_core{suffix}"
+        path = folder / f"{stem}{suffix}"
         if not path.is_file():
             continue
-        loader = importlib.machinery.ExtensionFileLoader(_HIGHS_MODULE, str(path))
-        spec = importlib.util.spec_from_file_location(_HIGHS_MODULE, path, loader=loader)
-        module = importlib.util.module_from_spec(spec)
+        loader = importlib.machinery.ExtensionFileLoader(qualified, str(path))
+        module = importlib.util.module_from_spec(
+            importlib.util.spec_from_file_location(qualified, path, loader=loader)
+        )
         loader.exec_module(module)
-        sys.modules[_HIGHS_MODULE] = module
+        sys.modules[qualified] = module
         return module
-    from scipy.optimize._highspy import _core
-
-    return _core
+    raise ImportError(f"this scipy has no compiled {qualified}")
 
 
 def _lp_solver(sf: _StandardForm):
@@ -280,13 +310,14 @@ def _lp_solver(sf: _StandardForm):
     One HiGHS instance gets the model once; every call changes the column
     bounds and re-runs, so the dual simplex starts from the last basis.
     """
-    core = _load_highs()
+    core = _scipy_extension("optimize._highspy._core")
+    indptr, indices, data = sf.rows
     highs = core._Highs()
     highs.setOptionValue("output_flag", False)
     status = highs.passModel(
         sf.ncols,
         sf.nrows,
-        sf.matrix.nnz,
+        data.size,
         int(core.MatrixFormat.kRowwise),
         int(core.ObjSense.kMinimize),
         0.0,
@@ -295,9 +326,9 @@ def _lp_solver(sf: _StandardForm):
         sf.upper,
         sf.row_lower,
         sf.row_upper,
-        sf.matrix.indptr.astype(np.int32, copy=False),
-        sf.matrix.indices.astype(np.int32, copy=False),
-        sf.matrix.data,
+        indptr,
+        indices,
+        data,
         np.zeros(sf.ncols, dtype=np.int32),
     )
     if status == core.HighsStatus.kError:

@@ -212,9 +212,9 @@ class TestMpsFormat:
         # m = n = 10 gives the ten-character column y_10_10_10, which must
         # stay apart from the row name that follows it.
         from ballotcontrol import solve
-        from ballotcontrol.solver import _load_highs
+        from ballotcontrol.solver import _scipy_extension
 
-        core = _load_highs()
+        core = _scipy_extension("optimize._highspy._core")
         election = random_election(random.Random(10), 10, 10)
         spec = ControlSpec("bucklin", "delete-candidates", "constructive", 2)
         problem, _, _ = build_problem(election, spec)

@@ -32,6 +32,20 @@ MODERN_SAMPLE = """\
 """
 
 
+LAYOUTS = ("legacy", "modern")
+ORDERS = ((2, "1,2,3"), (1, "3,2,1"))
+
+
+def counted_text(layout, voters, unique, orders):
+    """A three-alternative file in `layout` that declares `voters` voters
+    and `unique` unique orders over the order lines `orders`."""
+    if layout == "legacy":
+        head = f"3\n1,a\n2,b\n3,c\n{voters},{voters},{unique}\n"
+        return head + "".join(f"{mult},{order}\n" for mult, order in orders)
+    head = f"# NUMBER ALTERNATIVES: 3\n# NUMBER VOTERS: {voters}\n# NUMBER UNIQUE ORDERS: {unique}\n"
+    return head + "".join(f"{mult}: {order}\n" for mult, order in orders)
+
+
 class TestParse:
     def test_legacy_sample(self):
         doc = parse_preflib(LEGACY_SAMPLE)
@@ -76,16 +90,30 @@ class TestParse:
         with pytest.raises(PrefLibParseError):
             parse_preflib("2\n1,A\n2,B\n5,5,1\n1,1,2\n")
 
-    def test_voter_count_mismatch_rejected(self):
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    def test_voter_count_mismatch_rejected(self, layout):
         # 99 voters declared over multiplicities that sum to 3
-        with pytest.raises(PrefLibParseError, match="99 voters"):
-            parse_preflib("3\n1,a\n2,b\n3,c\n99,3,2\n2,1,2,3\n1,3,2,1\n")
+        with pytest.raises(PrefLibParseError) as info:
+            parse_preflib(counted_text(layout, 99, 2, ORDERS))
+        assert str(info.value) == "header declares 99 voters, order lines have 3"
 
-    def test_modern_unique_order_count_mismatch_rejected(self):
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    def test_unique_order_count_mismatch_rejected(self, layout):
         # 7 unique orders declared over 2 order lines
-        text = MODERN_SAMPLE.replace("UNIQUE ORDERS: 2", "UNIQUE ORDERS: 7")
-        with pytest.raises(PrefLibParseError, match="7 unique orders"):
-            parse_preflib(text)
+        with pytest.raises(PrefLibParseError) as info:
+            parse_preflib(counted_text(layout, 3, 7, ORDERS))
+        assert str(info.value) == "header declares 7 unique orders, file has 2"
+
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    def test_no_order_lines_rejected(self, layout):
+        with pytest.raises(PrefLibParseError) as info:
+            parse_preflib(counted_text(layout, 3, 2, ()))
+        assert str(info.value) == "file contains no order lines"
+
+    def test_multiplicity_total_mismatch_rejected(self):
+        # The legacy layout also declares the multiplicity total.
+        with pytest.raises(PrefLibParseError, match="multiplicity total of 4, order lines have 3"):
+            parse_preflib("3\n1,a\n2,b\n3,c\n3,4,2\n2,1,2,3\n1,3,2,1\n")
 
     def test_empty_input_rejected(self):
         with pytest.raises(PrefLibParseError):

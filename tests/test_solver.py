@@ -5,7 +5,9 @@ import sys
 import textwrap
 from pathlib import Path
 
+import numpy as np
 import pytest
+from scipy.sparse import csr_matrix, vstack
 
 from ballotcontrol import solver as solver_module
 from ballotcontrol import (
@@ -31,6 +33,7 @@ from genutil import (
     random_binary_program,
     random_election,
 )
+from test_model_golden import GOLDEN as MODEL_GOLDEN, sweep_models
 
 
 def box_model():
@@ -140,6 +143,82 @@ def test_propagation_golden(kind):
             digest.update(lower.tobytes())
             digest.update(upper.tobytes())
     assert digest.hexdigest() == PROPAGATION_GOLDEN[kind], f"the {kind} propagation changed"
+
+
+def scipy_rows(model):
+    """The rows of `model` built through `scipy.sparse`: a `csr_matrix`
+    of the constraint terms in order, with explicit zeros eliminated."""
+    index = {v.name: i for i, v in enumerate(model.variables)}
+    rows = model.constraints
+    terms = [term for c in rows for term in c.terms]
+    matrix = csr_matrix(
+        (
+            np.array([float(coef) for _, coef in terms]),
+            np.array([index[name] for name, _ in terms], dtype=np.int64),
+            np.cumsum([0] + [len(c.terms) for c in rows]),
+        ),
+        shape=(len(rows), len(index)),
+    )
+    matrix.eliminate_zeros()
+    return matrix
+
+
+def scipy_propagation_data(sf, matrix):
+    """`propagation_data` built through `scipy.sparse`: stacked rows,
+    entries split by sign, and columns ordered through `tocsc`."""
+    above, below = np.isfinite(sf.row_upper), np.isfinite(sf.row_lower)
+    stacked = vstack((matrix[above], -matrix[below]), format="csr")
+    b_ub = np.concatenate((sf.row_upper[above], -sf.row_lower[below]))
+    pos, neg = stacked.copy(), stacked
+    pos.data[pos.data < 0] = 0.0
+    neg.data[neg.data > 0] = 0.0
+    pos.eliminate_zeros()
+    neg.eliminate_zeros()
+
+    def by_column(part):
+        csc = part.tocsc()
+        counts = np.diff(csc.indptr)
+        ucols = np.flatnonzero(counts)
+        cols = np.repeat(np.arange(csc.shape[1]), counts)
+        return csc.indices, cols, csc.data, csc.indptr[ucols], ucols
+
+    parts = [(p.indptr, p.indices, p.data) for p in (pos, neg)]
+    return (b_ub, *parts, by_column(pos), by_column(neg))
+
+
+def assert_same_arrays(got, want):
+    """Equal shape and bytes, the reference cast to the dtype of `got`."""
+    for g, w in zip(got, want, strict=True):
+        if isinstance(g, tuple):
+            assert_same_arrays(g, w)
+        else:
+            assert g.shape == np.shape(w)
+            assert g.tobytes() == np.asarray(w, dtype=g.dtype).tobytes()
+
+
+def differential_programs():
+    yield from propagation_programs("mixed")
+    for key in sorted(MODEL_GOLDEN):
+        yield from sweep_models(*key)
+
+
+def test_rows_and_kernels_match_scipy_sparse():
+    """The plain CSR arrays, the activities and the propagation rows equal
+    byte for byte what `scipy.sparse` computes from the same terms."""
+    rng = np.random.default_rng(5)
+    for model in differential_programs():
+        sf = solver_module._StandardForm(model)
+        matrix = scipy_rows(model)
+        indptr, indices, _ = sf.rows
+        assert indptr.dtype == indices.dtype == np.int32
+        assert_same_arrays(sf.rows, (matrix.indptr, matrix.indices, matrix.data))
+        for _ in range(3):
+            x = sf.lower + (sf.upper - sf.lower) * rng.random(sf.ncols)
+            want = matrix @ x
+            assert solver_module._matvec(sf.rows, x).tobytes() == want.tobytes()
+            ok = not (np.any(want > sf.row_upper) or np.any(want < sf.row_lower))
+            assert sf.feasible_point(x, 0.0) == ok
+        assert_same_arrays(sf.propagation_data(), scipy_propagation_data(sf, matrix))
 
 
 class TestLpRelaxation:
@@ -343,16 +422,18 @@ class TestSolve:
 
 
 def test_solve_leaves_scipy_optimize_unimported():
-    """Loading the HiGHS binding must not run `scipy.optimize`'s package
-    init (a set-up cost in every fresh process); a later import of it must
-    reuse the loaded binding, and its HiGHS entry points keep working."""
+    """A solve loads scipy's HiGHS binding and sparse kernels from their
+    files and runs no package init of `scipy`, `scipy.optimize` or
+    `scipy.sparse` (a set-up cost in every fresh process). A later import
+    of those packages must reuse the loaded extensions, and their entry
+    points keep working."""
     src = Path(solver_module.__file__).resolve().parent.parent
     script = textwrap.dedent(
         """
         import sys
         sys.path.insert(0, sys.argv[1])
+        import numpy as np
         from ballotcontrol import LinearProgram, solve
-        from ballotcontrol.solver import _load_highs
 
         model = LinearProgram("tiny")
         model.add_variable("x", "binary")
@@ -361,8 +442,16 @@ def test_solve_leaves_scipy_optimize_unimported():
         model.add_constraint([("x", 1), ("y", 1)], "<=", 1)
         result = solve(model)
         assert (result.status, result.objective) == ("Optimal", 3), result
-        assert "scipy.optimize" not in sys.modules
-        core = _load_highs()
+        sparsetools = sys.modules["scipy.sparse._sparsetools"]
+        core = sys.modules["scipy.optimize._highspy._core"]
+        # The HiGHS binding registers its own submodules, `_core.cb` and
+        # the like; nothing else of scipy may be loaded.
+        assert not {"scipy", "scipy.sparse", "scipy.optimize"} & set(sys.modules)
+        loaded = [name for name in sys.modules if name.split(".")[0] == "scipy"]
+        assert all(name.startswith((sparsetools.__name__, core.__name__)) for name in loaded), loaded
+        from scipy.sparse import _sparsetools, csr_matrix
+        assert _sparsetools is sparsetools
+        assert (csr_matrix([[1.0, 2.0], [0.0, 3.0]]) @ np.ones(2)).tolist() == [3.0, 3.0]
         from scipy.optimize import linprog, milp
         from scipy.optimize._highspy._core import _Highs
         assert _Highs is core._Highs
