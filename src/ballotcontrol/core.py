@@ -4,12 +4,15 @@ Candidates and voters are identified positionally with 1-based indices:
 an election holds its candidates' display names, in index order, and its
 voters as the range 1..n. All types are immutable after construction and
 every operation is a pure function, so values can be shared freely across
-threads.
+threads. The one cached value, `StrictProfile.positions`, is a
+deterministic function of the rankings: two threads that both compute it
+store equal tables, so sharing a profile stays safe.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 from numbers import Integral
 from typing import Iterable, Union
 
@@ -30,6 +33,12 @@ SUPPORTED_CONTROL_PAIRS = frozenset(
 )
 
 
+def _integral(rows) -> bool:
+    """Whether every entry of every row is an integer, numpy's included. A
+    float label would pass the permutation checks ({1.0, 2} == {1, 2})."""
+    return all(issubclass(t, Integral) for t in {type(x) for row in rows for x in row})
+
+
 @dataclass(frozen=True)
 class StrictProfile:
     """One complete strict ranking per voter, most preferred first."""
@@ -39,11 +48,22 @@ class StrictProfile:
     def __post_init__(self):
         if not self.rankings:
             raise ValueError("profile needs at least one voter")
+        if not _integral(self.rankings):
+            raise ValueError("candidate labels must be integers")
         m = len(self.rankings[0])
         expected = set(range(1, m + 1))
         for v, ranking in enumerate(self.rankings, start=1):
             if set(ranking) != expected or len(ranking) != m:
                 raise ValueError(f"ranking of voter {v} is not a permutation of 1..{m}")
+
+    @cached_property
+    def positions(self) -> tuple[tuple[int, ...], ...]:
+        """Per voter the 0-based place of each candidate on the ballot:
+        `positions[j][c - 1]` is where voter j + 1 ranks candidate c. Equal
+        ballots share one row."""
+        labels = range(1, self.m + 1)
+        rows = {r: tuple(map(r.index, labels)) for r in set(self.rankings)}
+        return tuple(map(rows.__getitem__, self.rankings))
 
     @property
     def m(self) -> int:
@@ -67,6 +87,8 @@ class TiedProfile:
     def __post_init__(self):
         if not self.groups:
             raise ValueError("profile needs at least one voter")
+        if not _integral(group for voter_groups in self.groups for group in voter_groups):
+            raise ValueError("candidate labels must be integers")
         m = sum(len(g) for g in self.groups[0])
         expected = set(range(1, m + 1))
         for v, voter_groups in enumerate(self.groups, start=1):
@@ -95,12 +117,12 @@ class ScoreMatrix:
     def __post_init__(self):
         if not self.scores or not self.scores[0]:
             raise ValueError("score matrix must be non-empty")
+        if not _integral(self.scores):
+            raise ValueError("scores must be integers")
         n = len(self.scores[0])
         for row in self.scores:
             if len(row) != n:
                 raise ValueError("score matrix rows have unequal lengths")
-            if not all(issubclass(t, Integral) for t in set(map(type, row))):
-                raise ValueError("scores must be integers")
             if min(row) < 0:
                 raise ValueError("scores must be non-negative")
 

@@ -52,7 +52,7 @@ from .ilp import (
     LinearProgram,
     add_alternative_block,
 )
-from .rules import winner_after_deletion
+from .rules import rule_payload, winner_after_deletion
 
 
 class VerificationError(RuntimeError):
@@ -83,46 +83,36 @@ class ControlSolution:
 
 
 def dominance_row_matrix(profile: StrictProfile):
-    """(m-1) x n matrix; row i, column j is 1 iff the target (candidate 1)
-    is preferred to candidate i+1 by voter j."""
+    """The paper's (m-1) x n matrix; row i, column j is 1 iff the target
+    (candidate 1) is preferred to candidate i+1 by voter j. A reference for
+    acceptance criteria 3 and 6 only; the solve path never builds it."""
     if profile.m < 2:
         raise ValueError("dominance rows need at least two candidates")
-    rows = []
-    for i in range(2, profile.m + 1):
-        rows.append(
-            tuple(1 if r.index(1) < r.index(i) else 0 for r in profile.rankings)
-        )
-    return tuple(rows)
+    return tuple(
+        tuple(int(p[0] < p[i]) for p in profile.positions) for i in range(1, profile.m)
+    )
 
 
 def dominance_cube(profile: StrictProfile):
-    """Per voter the m x m strict-order matrix: entry (i, k) is 1 iff the
-    voter prefers candidate i to candidate k."""
-    cube = []
-    for r in profile.rankings:
-        pos = {c: p for p, c in enumerate(r)}
-        cube.append(
-            tuple(
-                tuple(1 if i != k and pos[i] < pos[k] else 0 for k in range(1, profile.m + 1))
-                for i in range(1, profile.m + 1)
-            )
-        )
-    return tuple(cube)
+    """The paper's per-voter m x m strict-order matrices: entry (i, k) is 1
+    iff the voter prefers candidate i to candidate k. A reference for
+    acceptance criteria 3 and 6 only; the solve path never builds it."""
+    cs = range(profile.m)
+    return tuple(tuple(tuple(int(p[i] < p[k]) for k in cs) for i in cs) for p in profile.positions)
 
 
 def bucklin_position_cube(profile: StrictProfile):
-    """Per voter the m x m step matrix: entry (i, k) is 1 iff the voter
-    ranks candidate i at position k or better."""
-    cube = []
-    for r in profile.rankings:
-        pos = {c: p + 1 for p, c in enumerate(r)}
-        cube.append(
-            tuple(
-                tuple(1 if pos[i] <= k else 0 for k in range(1, profile.m + 1))
-                for i in range(1, profile.m + 1)
-            )
-        )
-    return tuple(cube)
+    """The paper's per-voter m x m step matrices: entry (i, k) is 1 iff the
+    voter ranks candidate i at position k or better. A reference for
+    acceptance criteria 3 and 6 only; the solve path never builds it."""
+    cs = range(profile.m)
+    return tuple(tuple(tuple(int(p[i] <= k) for k in cs) for i in cs) for p in profile.positions)
+
+
+def _ranked_above(xs, place, i):
+    """Keep terms, in index order, of the candidates above candidate i on a
+    ballot whose places are `place`."""
+    return tuple((x, 1) for x, q in zip(xs, place) if q < place[i - 1])
 
 
 def _is_destructive(mode: str) -> bool:
@@ -192,13 +182,11 @@ def encode_ce(profile: StrictProfile, mode: str = "constructive") -> EncodedProb
     some duel must not be (destructive); the +-1 rows express a win as a
     positive balance."""
     destructive = _is_destructive(mode)
-    m, n = profile.m, profile.n
-    rows = dominance_row_matrix(profile) if m > 1 else ()
     model = LinearProgram("condorcet-control")
-    xs = _decision_vars(model, n)
+    xs = _decision_vars(model, profile.n)
     duels = [
-        (i, tuple((xs[j], 2 * row[j] - 1) for j in range(n)))
-        for i, row in enumerate(rows, start=2)
+        (i, tuple((x, 1 if p[0] < p[i - 1] else -1) for x, p in zip(xs, profile.positions)))
+        for i in range(2, profile.m + 1)
     ]
     _duel_rows(model, xs, "ce", duels, destructive)
     return EncodedProblem(model, xs)
@@ -215,7 +203,6 @@ def encode_pe(profile: StrictProfile, mode: str = "constructive") -> EncodedProb
     """
     destructive = _is_destructive(mode)
     m, n = profile.m, profile.n
-    cube = dominance_cube(profile)
     model = LinearProgram("plurality-control")
     xs = _decision_vars(model, m)
     z = {
@@ -225,10 +212,8 @@ def encode_pe(profile: StrictProfile, mode: str = "constructive") -> EncodedProb
     }
     model.add_constraint(((xs[0], 1),), "=", 1, tag="pe:target-kept")
     for i in range(1, m + 1):
-        for j in range(1, n + 1):
-            better = tuple(
-                (xs[k - 1], 1) for k in range(1, m + 1) if cube[j - 1][k - 1][i - 1]
-            )
+        for j, place in enumerate(profile.positions, start=1):
+            better = _ranked_above(xs, place, i)
             model.add_constraint(
                 better + ((z[i, j], m),), "<=", m, tag=f"pe:top-blocked:c{i}:v{j}"
             )
@@ -265,7 +250,6 @@ def encode_mme(profile: StrictProfile, mode: str = "constructive") -> EncodedPro
     """
     destructive = _is_destructive(mode)
     m, n = profile.m, profile.n
-    cube = dominance_cube(profile)
     name = "maximin-control-destructive" if destructive else "maximin-control"
     model = LinearProgram(name)
     xs = _decision_vars(model, n)
@@ -273,7 +257,7 @@ def encode_mme(profile: StrictProfile, mode: str = "constructive") -> EncodedPro
 
     def backers(i, k, coef):
         # The kept voters preferring candidate i to candidate k.
-        return tuple((xs[j], coef) for j in range(n) if cube[j][i - 1][k - 1])
+        return tuple((x, coef) for x, p in zip(xs, profile.positions) if p[i - 1] < p[k - 1])
 
     if destructive and m == 1:
         _impossible(model, xs)
@@ -382,7 +366,6 @@ def encode_bev(profile: StrictProfile, mode: str = "constructive") -> EncodedPro
     """
     destructive = _is_destructive(mode)
     m, n = profile.m, profile.n
-    cube = bucklin_position_cube(profile)
     model = LinearProgram("bucklin-voter-control")
     xs = _decision_vars(model, n)
     z = {
@@ -390,21 +373,19 @@ def encode_bev(profile: StrictProfile, mode: str = "constructive") -> EncodedPro
         for i in range(1, m + 1)
         for k in range(1, m + 1)
     }
-    # Halved majority rows are pre-scaled by 2 to keep coefficients integral.
-    balance = {
-        (i, k): tuple((xs[j], 1 - 2 * cube[j][i - 1][k - 1]) for j in range(n))
-        for i in range(1, m + 1)
-        for k in range(1, m + 1)
-    }
-    for (i, k), terms in balance.items():
-        model.add_constraint(
-            terms + ((z[i, k], 2 * n),), "<=", 2 * n - 1, tag=f"bev:score-cap:c{i}:k{k}"
-        )
-    for (i, k), terms in balance.items():
+
+    def balance(i, k):
+        # Halved majority rows are pre-scaled by 2 to keep coefficients
+        # integral; a voter ranks i in the top k when its 0-based place of i
+        # is below k.
+        terms = tuple((x, -1 if p[i - 1] < k else 1) for x, p in zip(xs, profile.positions))
+        return terms + ((z[i, k], 2 * n),)
+
+    for i, k in z:
+        model.add_constraint(balance(i, k), "<=", 2 * n - 1, tag=f"bev:score-cap:c{i}:k{k}")
+    for i, k in z:
         if i > 1 or destructive:
-            model.add_constraint(
-                terms + ((z[i, k], 2 * n),), ">=", 0, tag=f"bev:score-forced:c{i}:k{k}"
-            )
+            model.add_constraint(balance(i, k), ">=", 0, tag=f"bev:score-forced:c{i}:k{k}")
     if not destructive:
         _bucklin_win_rows(model, z, m, "bev", "k")
     elif m == 1:
@@ -423,7 +404,6 @@ def encode_bec(profile: StrictProfile, mode: str = "constructive") -> EncodedPro
     kept candidate set (all voters always vote)."""
     destructive = _is_destructive(mode)
     m, n = profile.m, profile.n
-    cube = dominance_cube(profile)
     model = LinearProgram("bucklin-candidate-control")
     xs = _decision_vars(model, m)
     y = {
@@ -438,11 +418,9 @@ def encode_bec(profile: StrictProfile, mode: str = "constructive") -> EncodedPro
         for l in range(1, m + 1)
     }
     model.add_constraint(((xs[0], 1),), "=", 1, tag="bec:target-kept")
-    for j in range(1, n + 1):
+    for j, place in enumerate(profile.positions, start=1):
         for i in range(1, m + 1):
-            better = tuple(
-                (xs[k - 1], 1) for k in range(1, m + 1) if cube[j - 1][k - 1][i - 1]
-            )
+            better = _ranked_above(xs, place, i)
             for l in range(1, m + 1):
                 model.add_constraint(
                     better + ((y[j, i, l], m + 1),),
@@ -497,12 +475,7 @@ def encode_control(election: Election, spec: ControlSpec) -> EncodedProblem:
     """Build the program for a normalized control instance (target index 1)."""
     if spec.target != 1:
         raise ValueError("encode_control expects a target-normalized instance")
-    prefs = election.preferences
-    if spec.rule == "range":
-        if not isinstance(prefs, ScoreMatrix):
-            raise TypeError("range control requires a score matrix")
-    elif not isinstance(prefs, StrictProfile):
-        raise TypeError(f"{spec.rule} control requires a strict-order profile")
+    prefs = rule_payload(spec.rule, election)
     return _ENCODERS[(spec.rule, spec.action)](prefs, spec.mode)
 
 

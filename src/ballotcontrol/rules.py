@@ -9,6 +9,7 @@ exact integer arithmetic (2*count > n).
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Optional
 
@@ -34,6 +35,15 @@ def _unique_extreme(tally, direction) -> Optional[int]:
     return winners[0] if len(winners) == 1 else None
 
 
+def rule_payload(rule: str, election: Election):
+    """The election's preferences, checked to be the payload `rule` reads:
+    a score matrix for range, a strict profile for every other rule."""
+    wanted = ScoreMatrix if rule == "range" else StrictProfile
+    if not isinstance(election.preferences, wanted):
+        raise TypeError(f"the {rule} rule needs a {wanted.__name__} payload")
+    return election.preferences
+
+
 def range_winner(scores: ScoreMatrix) -> WinnerOutcome:
     """Candidate with strictly the largest total score, if unique."""
     totals = tuple(sum(row) for row in scores.scores)
@@ -42,9 +52,17 @@ def range_winner(scores: ScoreMatrix) -> WinnerOutcome:
 
 def pairwise_advantage(profile: StrictProfile, a: int, b: int) -> int:
     """Number of voters preferring candidate a to candidate b."""
-    if a == b:
-        raise ValueError("advantage is defined for distinct candidates only")
-    return sum(1 for r in profile.rankings if r.index(a) < r.index(b))
+    if a == b or not (1 <= a <= profile.m and 1 <= b <= profile.m):
+        raise ValueError(f"advantage needs two distinct candidates of 1..{profile.m}")
+    return sum(p[a - 1] < p[b - 1] for p in profile.positions)
+
+
+def _advantages(profile: StrictProfile) -> list[list[int]]:
+    """m x m matrix; entry (a - 1, b - 1) is the number of voters preferring
+    candidate a to candidate b (0 on the diagonal), counted once per distinct
+    ballot."""
+    ballots, cs = Counter(profile.positions).items(), range(profile.m)
+    return [[sum(k for p, k in ballots if p[a] < p[b]) for b in cs] for a in cs]
 
 
 def condorcet_winner(profile: StrictProfile) -> WinnerOutcome:
@@ -54,20 +72,8 @@ def condorcet_winner(profile: StrictProfile) -> WinnerOutcome:
     winner. The tally is the number of rivals each candidate strictly beats:
     the winner is exactly the candidate beating all m-1.
     """
-    m, n = profile.m, profile.n
-    adv = [[0] * m for _ in range(m)]
-    for r in profile.rankings:
-        for pos, c in enumerate(r):
-            for d in r[pos + 1 :]:
-                adv[c - 1][d - 1] += 1
-    beats = tuple(
-        sum(1 for k in range(m) if k != i and 2 * adv[i][k] > n) for i in range(m)
-    )
-    winner = None
-    for i in range(m):
-        if beats[i] == m - 1:
-            winner = i + 1
-            break
+    beats = tuple(sum(2 * a > profile.n for a in row) for row in _advantages(profile))
+    winner = next((c for c, b in enumerate(beats, start=1) if b == profile.m - 1), None)
     return WinnerOutcome(winner, beats)
 
 
@@ -91,7 +97,7 @@ def maximin_winner(profile: StrictProfile) -> WinnerOutcome:
     """Candidate whose minimum advantage is strictly the largest, if unique."""
     if profile.m == 1:
         return WinnerOutcome(1, (0,))
-    phis = tuple(maximin_phi(profile, c) for c in range(1, profile.m + 1))
+    phis = tuple(min(row[:c] + row[c + 1 :]) for c, row in enumerate(_advantages(profile)))
     return WinnerOutcome(_unique_extreme(phis, "max"), phis)
 
 
@@ -109,9 +115,11 @@ def bucklin_psi(profile: StrictProfile, c: int) -> int:
     for complete strict profiles with at least one voter.
     """
     m, n = profile.m, profile.n
-    positions = [r.index(c) + 1 for r in profile.rankings]
+    if not 1 <= c <= m:
+        raise ValueError(f"candidate {c} out of range 1..{m}")
+    places = Counter(p[c - 1] for p in profile.positions)
     for k in range(1, m + 1):
-        if 2 * sum(1 for p in positions if p <= k) > n:
+        if 2 * sum(count for place, count in places.items() if place < k) > n:
             return k
     return m + 1
 
@@ -123,18 +131,11 @@ def bucklin_winner(profile: StrictProfile) -> WinnerOutcome:
 
 
 def winner_for_rule(rule: str, election: Election) -> WinnerOutcome:
-    """Dispatch winner determination on an election.
-
-    The range rule needs a score matrix payload; the preference-based rules
-    need a strict profile.
-    """
-    prefs = election.preferences
+    """Dispatch winner determination on an election whose payload is the
+    one `rule` reads (`rule_payload`)."""
+    prefs = rule_payload(rule, election)
     if rule == "range":
-        if not isinstance(prefs, ScoreMatrix):
-            raise TypeError("range winner requires a score matrix")
         return range_winner(prefs)
-    if not isinstance(prefs, StrictProfile):
-        raise TypeError(f"{rule} winner requires a strict-order profile")
     if rule == "condorcet":
         return condorcet_winner(prefs)
     if rule == "plurality":

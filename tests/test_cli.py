@@ -73,6 +73,12 @@ class TestWinner:
         assert code == 3
         assert "strict" in err
 
+    def test_scores_rejected_for_preference_rules(self, capsys, tmp_path):
+        path = tmp_path / "scores.csv"
+        path.write_text(SCORES_CSV)
+        code, out, _ = run(capsys, "winner", "--rule", "maximin", "--input", str(path))
+        assert code == 3 and out == ""
+
     def test_range_accepts_tied_file(self, capsys, tmp_path):
         path = tmp_path / "tied.toc"
         path.write_text(TIED_TOC)

@@ -1,3 +1,7 @@
+import random
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -59,6 +63,23 @@ class TestTypes:
     def test_score_matrix_accepts_numpy_integers(self):
         election = Election.from_scores(np.array([[2, 0], [1, 1]]))
         assert election.preferences.scores == ((2, 0), (1, 1))
+
+    def test_rankings_reject_non_integer_labels(self):
+        # {1.0, 2.0, 3.0} == {1, 2, 3}: the permutation check alone let
+        # these through, and the condorcet winner then died with a TypeError
+        with pytest.raises(ValueError, match="integers"):
+            Election.from_rankings([(1.0, 2.0, 3.0), (2.0, 1.0, 3.0), (1.0, 3.0, 2.0)])
+        with pytest.raises(ValueError, match="integers"):
+            StrictProfile(((1, 2, 3), (2, 1.0, 3)))
+
+    def test_tie_groups_reject_non_integer_labels(self):
+        with pytest.raises(ValueError, match="integers"):
+            TiedProfile((((1.0, 2.0), (3.0,)),))
+
+    def test_rankings_accept_numpy_integers(self):
+        election = Election.from_rankings(np.array([[2, 1, 3], [2, 3, 1]]))
+        assert election.preferences.positions == ((1, 0, 2), (2, 0, 1))
+        TiedProfile((((np.int64(2),), (np.int64(1),)),))
 
     def test_election_dimension_check(self):
         with pytest.raises(ValueError):
@@ -221,3 +242,30 @@ class TestRestrictToCandidates:
 
 def test_swap_index():
     assert [swap_index(i, 1, 3) for i in (1, 2, 3, 4)] == [3, 2, 1, 4]
+
+
+def test_positions_shared_across_threads():
+    # cached_property takes no lock (Python >= 3.12): threads that race on a
+    # fresh profile may each compute the table, and must all read the same one
+    rng = random.Random(5)
+    rankings = tuple(tuple(rng.sample(range(1, 7), 6)) for _ in range(300))
+    expected = tuple(tuple(r.index(c) for c in range(1, 7)) for r in rankings)
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(20):
+            profile = StrictProfile(rankings)
+            seen = []
+            threads = [
+                threading.Thread(target=lambda: seen.append(profile.positions))
+                for _ in range(8)
+            ]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=10)
+            assert not any(t.is_alive() for t in threads)
+            assert len(seen) == 8 and all(table == expected for table in seen)
+            assert profile.positions == expected
+    finally:
+        sys.setswitchinterval(switch)

@@ -2,6 +2,7 @@ import itertools
 import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from ballotcontrol import (
     Assignment,
@@ -101,6 +102,53 @@ class TestMatrices:
                 rank = rankings[j].index(i) + 1
                 assert sum(row) == profile.m - rank + 1
                 assert list(row) == [0] * (rank - 1) + [1] * (profile.m - rank + 1)
+
+
+def _reference_matrices(rankings):
+    """The three matrices written directly from the rankings, independent of
+    the position table."""
+    m = len(rankings[0])
+    rows = tuple(
+        tuple(1 if r.index(1) < r.index(i) else 0 for r in rankings) for i in range(2, m + 1)
+    )
+    order = tuple(
+        tuple(
+            tuple(1 if i != k and r.index(i) < r.index(k) else 0 for k in range(1, m + 1))
+            for i in range(1, m + 1)
+        )
+        for r in rankings
+    )
+    steps = tuple(
+        tuple(
+            tuple(1 if r.index(i) + 1 <= k else 0 for k in range(1, m + 1))
+            for i in range(1, m + 1)
+        )
+        for r in rankings
+    )
+    return rows, order, steps
+
+
+@given(st.integers(1, 6), st.integers(1, 7), st.integers(0, 99999))
+@example(1, 1, 0)
+@example(1, 4, 0)
+@example(5, 1, 0)
+@settings(max_examples=80)
+def test_position_table_and_matrix_views(m, n, seed):
+    rankings = tuple(random_profile(random.Random(seed), n, m))
+    profile = StrictProfile(rankings)
+    assert len(profile.positions) == n
+    for j, ranking in enumerate(rankings):
+        assert [profile.positions[j][c - 1] for c in range(1, m + 1)] == [
+            ranking.index(c) for c in range(1, m + 1)
+        ]
+    rows, order, steps = _reference_matrices(rankings)
+    if m == 1:
+        with pytest.raises(ValueError):
+            dominance_row_matrix(profile)
+    else:
+        assert dominance_row_matrix(profile) == rows
+    assert dominance_cube(profile) == order
+    assert bucklin_position_cube(profile) == steps
 
 
 class TestRangeEncoder:

@@ -82,6 +82,14 @@ class TestPairwiseAdvantage:
         with pytest.raises(ValueError):
             pairwise_advantage(worked_profile, 2, 2)
 
+    @pytest.mark.parametrize("a, b", [(0, 1), (1, 5), (-1, 2)])
+    def test_unknown_candidate_rejected(self, worked_profile, a, b):
+        # the position table would read index -1 for candidate 0
+        with pytest.raises(ValueError):
+            pairwise_advantage(worked_profile, a, b)
+        with pytest.raises(ValueError):
+            maximin_phi(worked_profile, a if a != 1 else b)
+
     def test_single_voter(self):
         profile = StrictProfile(((2, 1, 3),))
         assert pairwise_advantage(profile, 2, 1) == 1
@@ -161,6 +169,11 @@ class TestBucklin:
     def test_worked_profile_psi(self, worked_profile):
         assert [bucklin_psi(worked_profile, c) for c in range(1, 5)] == [1, 3, 2, 4]
 
+    @pytest.mark.parametrize("c", [0, 5])
+    def test_psi_rejects_unknown_candidate(self, worked_profile, c):
+        with pytest.raises(ValueError):
+            bucklin_psi(worked_profile, c)
+
     def test_single_voter_psi_is_position(self):
         profile = StrictProfile(((3, 1, 2),))
         assert [bucklin_psi(profile, c) for c in (3, 1, 2)] == [1, 2, 3]
@@ -188,6 +201,28 @@ class TestBucklin:
                     by_rank_sets = k
                     break
             assert bucklin_psi(profile, c) == by_rank_sets
+
+
+@given(profiles(max_m=6))
+@settings(max_examples=60)
+def test_advantage_tallies_match_pairwise_definition(profile):
+    # condorcet_winner and maximin_winner read one advantage matrix; each
+    # tally must equal its definition through pairwise_advantage
+    m, n = profile.m, profile.n
+    rivals = [[d for d in range(1, m + 1) if d != c] for c in range(1, m + 1)]
+    beats = tuple(
+        sum(2 * pairwise_advantage(profile, c, d) > n for d in rivals[c - 1])
+        for c in range(1, m + 1)
+    )
+    assert condorcet_winner(profile).tally == beats
+    if m > 1:
+        assert maximin_winner(profile).tally == tuple(
+            maximin_phi(profile, c) for c in range(1, m + 1)
+        )
+        for c, others in enumerate(rivals, start=1):
+            assert maximin_phi(profile, c) == min(
+                sum(r.index(c) < r.index(d) for r in profile.rankings) for d in others
+            )
 
 
 @pytest.mark.parametrize("rule", ["condorcet", "plurality", "maximin", "bucklin"])
