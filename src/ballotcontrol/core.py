@@ -48,12 +48,17 @@ class StrictProfile:
     def __post_init__(self):
         if not self.rankings:
             raise ValueError("profile needs at least one voter")
+        # The labels' types are checked on every ballot: (1, 2, 3) and
+        # (1.0, 2.0, 3.0) are equal, so one could hide behind the other.
+        # The permutation check depends on values only and runs once per
+        # distinct ballot, in the order of their first voters.
         if not _integral(self.rankings):
             raise ValueError("candidate labels must be integers")
         m = len(self.rankings[0])
         expected = set(range(1, m + 1))
-        for v, ranking in enumerate(self.rankings, start=1):
+        for ranking in dict.fromkeys(self.rankings):
             if set(ranking) != expected or len(ranking) != m:
+                v = self.rankings.index(ranking) + 1
                 raise ValueError(f"ranking of voter {v} is not a permutation of 1..{m}")
 
     @cached_property
@@ -237,9 +242,8 @@ def normalize_target(election: Election, spec: ControlSpec) -> tuple[Election, C
     names[0], names[t - 1] = names[t - 1], names[0]
     prefs = election.preferences
     if isinstance(prefs, StrictProfile):
-        new_prefs: Preferences = StrictProfile(
-            tuple(tuple(swap_index(c, 1, t) for c in r) for r in prefs.rankings)
-        )
+        swapped = {r: tuple(swap_index(c, 1, t) for c in r) for r in set(prefs.rankings)}
+        new_prefs: Preferences = StrictProfile(tuple(map(swapped.__getitem__, prefs.rankings)))
     else:
         rows = list(prefs.scores)
         rows[0], rows[t - 1] = rows[t - 1], rows[0]
@@ -274,9 +278,10 @@ def restrict_to_candidates(election: Election, keep: Iterable[int]) -> Election:
     relabel = {orig: new for new, orig in enumerate(kept, start=1)}
     prefs = election.preferences
     if isinstance(prefs, StrictProfile):
-        new_prefs: Preferences = StrictProfile(
-            tuple(tuple(relabel[c] for c in r if c in relabel) for r in prefs.rankings)
-        )
+        relabeled = {
+            r: tuple(relabel[c] for c in r if c in relabel) for r in set(prefs.rankings)
+        }
+        new_prefs: Preferences = StrictProfile(tuple(map(relabeled.__getitem__, prefs.rankings)))
     else:
         new_prefs = ScoreMatrix(tuple(prefs.scores[c - 1] for c in kept))
     return Election(tuple(election.candidates[c - 1] for c in kept), election.voters, new_prefs)

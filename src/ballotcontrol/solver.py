@@ -8,6 +8,18 @@ work: the HiGHS binding `scipy.optimize._highspy._core` (scipy 1.15 and
 later) and the sparse kernels of `scipy.sparse._sparsetools`. Both are
 loaded straight from their files, so a fresh process imports neither the
 `scipy` package nor `scipy.optimize` nor `scipy.sparse`.
+
+Before the search, equal integral columns are merged (`_merge_columns`):
+a class of c columns with the same entries, objective coefficient and
+bounds [l, u] is searched as one count column over [c·l, c·u], which is
+exact, since c integers in [l, u] sum to every integer of that range. In
+a control program these are the keep variables of voters with the same
+ballot. The answer spreads each class's count back over its columns:
+each gets l, and the columns are filled up to u in ascending order, so
+among interchangeable voters the lowest-indexed are kept. A model with no
+two equal integral columns is searched as it is. Node counts are those of
+the merged search.
+
 On top sits a best-first branch and bound: node selection by best dual
 bound (ties broken by depth, then creation order, with the down branch
 created first), branching on the most fractional integral variable (ties
@@ -19,9 +31,9 @@ the same model and config return identical statuses, incumbents, and node
 counts.
 
 Incumbents are only accepted after an exact feasibility check of the
-rounded point, and the final incumbent is re-verified with
-`check_assignment` at `FEASIBILITY_TOL` and `INTEGRALITY_TOL` before it is
-returned.
+rounded point, and the final incumbent, spread over the columns of the
+model, is re-verified on the model with `check_assignment` at
+`FEASIBILITY_TOL` and `INTEGRALITY_TOL` before it is returned.
 """
 
 from __future__ import annotations
@@ -110,36 +122,80 @@ class _StandardForm:
     two-sided form, and `propagation_data` writes them once more in the
     one-sided form `A @ x <= b`. The columns have finite boxes
     `lower`/`upper`, and `obj` is the objective, internally always
-    maximized.
+    maximized; `integral_objective` tells whether it takes only integral
+    values at integral points (`_objective_is_integral`). `from_arrays`
+    builds a form from these arrays directly, as `_merge_columns` does.
     """
 
     def __init__(self, model: LinearProgram):
-        self.names = [v.name for v in model.variables]
-        self.ncols = len(self.names)
-        if self.ncols == 0:
+        names = [v.name for v in model.variables]
+        if not names:
             raise ValueError("model has no variables")
-        index = {name: i for i, name in enumerate(self.names)}
-        self.lower = np.array([float(v.lower) for v in model.variables])
-        self.upper = np.array([float(v.upper) for v in model.variables])
-        if not (np.all(np.isfinite(self.lower)) and np.all(np.isfinite(self.upper))):
+        index = {name: i for i, name in enumerate(names)}
+        lower = np.array([float(v.lower) for v in model.variables])
+        upper = np.array([float(v.upper) for v in model.variables])
+        if not (np.all(np.isfinite(lower)) and np.all(np.isfinite(upper))):
             raise ValueError("the solver requires finite variable bounds")
-        self.integral = np.array([v.is_integral for v in model.variables], dtype=bool)
-        self.sign = 1.0 if model.objective_sense == "max" else -1.0
-        obj = np.zeros(self.ncols)
-        for name, coef in model.objective:
-            obj[index[name]] += float(coef)
-        self.obj = self.sign * obj
+        integral = np.array([v.is_integral for v in model.variables], dtype=bool)
+        sign = 1.0 if model.objective_sense == "max" else -1.0
+        terms = model.objective
+        obj_cols = np.fromiter((index[name] for name, _ in terms), np.intp, len(terms))
+        obj = np.zeros(len(names))
+        # `set_objective` admits each variable once, so no column repeats.
+        obj[obj_cols] += np.fromiter((float(coef) for _, coef in terms), float, len(terms))
         rows = model.constraints
-        self.nrows = len(rows)
         terms = [term for c in rows for term in c.terms]
         data = np.fromiter((coef for _, coef in terms), float, len(terms))
         indices = np.fromiter((index[name] for name, _ in terms), np.int32, len(terms))
-        indptr = np.zeros(self.nrows + 1, dtype=np.int32)
-        np.cumsum(np.fromiter((len(c.terms) for c in rows), np.int32, self.nrows), out=indptr[1:])
-        self.rows = _entries_where((indptr, indices, data), data != 0)
+        indptr = np.zeros(len(rows) + 1, dtype=np.int32)
+        np.cumsum(np.fromiter((len(c.terms) for c in rows), np.int32, len(rows)), out=indptr[1:])
         bound = np.array([float(c.rhs) for c in rows])
-        self.row_lower = np.where([c.sense != "<=" for c in rows], bound, -np.inf)
-        self.row_upper = np.where([c.sense != ">=" for c in rows], bound, np.inf)
+        self._set(
+            names,
+            lower,
+            upper,
+            integral,
+            sign,
+            sign * obj,
+            _objective_is_integral(model.objective, integral[obj_cols]),
+            _entries_where((indptr, indices, data), data != 0),
+            np.where([c.sense != "<=" for c in rows], bound, -np.inf),
+            np.where([c.sense != ">=" for c in rows], bound, np.inf),
+        )
+
+    @classmethod
+    def from_arrays(cls, *arrays) -> "_StandardForm":
+        """The form with the given `names, lower, upper, integral, sign,
+        obj, integral_objective, rows, row_lower, row_upper`."""
+        sf = cls.__new__(cls)
+        sf._set(*arrays)
+        return sf
+
+    def _set(
+        self,
+        names,
+        lower,
+        upper,
+        integral,
+        sign,
+        obj,
+        integral_objective,
+        rows,
+        row_lower,
+        row_upper,
+    ):
+        self.names = names
+        self.ncols = len(names)
+        self.lower = lower
+        self.upper = upper
+        self.integral = integral
+        self.sign = sign
+        self.obj = obj
+        self.integral_objective = integral_objective
+        self.rows = rows
+        self.nrows = rows[0].size - 1
+        self.row_lower = row_lower
+        self.row_upper = row_upper
         self._prop = None
 
     def feasible_point(self, x: np.ndarray, tol: float) -> bool:
@@ -197,12 +253,9 @@ def _matvec(rows, x):
     return out
 
 
-def _by_column(rows, ncols):
-    """The entries of the CSR arrays `rows` sorted by column, then row, so
-    that `_propagate` can reduce them per column by segments: the row,
-    column and value of each entry, the first entry of each non-empty
-    column, and those columns. Rows and starts are `np.intp`, which numpy
-    would otherwise convert to on every fancy index."""
+def _to_csc(rows, ncols):
+    """The CSC arrays `(colptr, row_of, values)` of the CSR arrays `rows`:
+    the entries sorted by column, then row."""
     indptr, indices, data = rows
     colptr = np.empty(ncols + 1, dtype=np.int32)
     row_of = np.empty(indices.size, dtype=np.int32)
@@ -210,10 +263,120 @@ def _by_column(rows, ncols):
     _scipy_extension("sparse._sparsetools").csr_tocsc(
         indptr.size - 1, ncols, indptr, indices, data, colptr, row_of, values
     )
+    return colptr, row_of, values
+
+
+def _by_column(rows, ncols):
+    """The entries of the CSR arrays `rows` sorted by column, then row, so
+    that `_propagate` can reduce them per column by segments: the row,
+    column and value of each entry, the first entry of each non-empty
+    column, and those columns. Rows and starts are `np.intp`, which numpy
+    would otherwise convert to on every fancy index."""
+    colptr, row_of, values = _to_csc(rows, ncols)
     counts = np.diff(colptr)
     ucols = np.flatnonzero(counts)
     cols = np.repeat(np.arange(ncols), counts)
     return row_of.astype(np.intp), cols, values, colptr[ucols].astype(np.intp), ucols
+
+
+def _merge_columns(sf: _StandardForm):
+    """`sf` with every class of equal integral columns searched as one
+    count column, and the function that spreads a point of the merged form
+    back over the columns of `sf`; None when no two columns are equal.
+
+    Two integral columns are equal when they have the same entries (row and
+    value, in row order), objective coefficient and bounds. A class of c
+    such columns with bounds [l, u] becomes its first column, with bounds
+    [c·ceil(l), c·floor(u)]: c integers in [l, u] sum to exactly the
+    integers of that range, so the merged form has the same optima and an
+    equivalent LP relaxation. The rows and row bounds are unchanged.
+    Columns are grouped by sorting a signature (a hash of the entries,
+    their count, objective and bounds) and then comparing each column's
+    entries with those of the first column of its group, all in numpy.
+    """
+    cand = np.flatnonzero(sf.integral)
+    if cand.size < 2:
+        return None
+    colptr, row_of, values = _to_csc(sf.rows, sf.ncols)
+    counts = np.diff(colptr)
+    # Each entry's hash is the splitmix64 finalizer of its row and value
+    # bits; a column's hash is the wrapping sum over its entries.
+    mix = row_of.astype(np.uint64) * np.uint64(0x9E3779B97F4A7C15) ^ values.view(np.uint64)
+    for shift, factor in ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB)):
+        mix ^= mix >> np.uint64(shift)
+        mix *= np.uint64(factor)
+    mix ^= mix >> np.uint64(31)
+    summed = np.zeros(mix.size + 1, dtype=np.uint64)
+    np.cumsum(mix, out=summed[1:])
+    digest = summed[colptr[1:]] - summed[colptr[:-1]]
+    keys = [sf.upper[cand], sf.lower[cand], sf.obj[cand], counts[cand], digest[cand]]
+    order = np.lexsort(keys)
+    cols = cand[order]
+    same = np.ones(cols.size - 1, dtype=bool)
+    for key in keys:
+        ordered = key[order]
+        same &= ordered[1:] == ordered[:-1]
+    head = np.flatnonzero(np.concatenate(([True], ~same)))
+    first = cols[np.repeat(head, np.diff(np.append(head, cols.size)))]
+    members, first = cols[first != cols], first[first != cols]
+    if not members.size:
+        return None
+    # The signature matched; compare the entries themselves. A column
+    # whose entries differ from its group's first (a hash collision) is
+    # left on its own.
+    sizes = counts[members]
+    offset = np.arange(sizes.sum()) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    mine = np.repeat(colptr[members], sizes) + offset
+    theirs = np.repeat(colptr[first], sizes) + offset
+    differs = (row_of[mine] != row_of[theirs]) | (values[mine] != values[theirs])
+    owner = np.repeat(np.arange(members.size), sizes)
+    equal = np.bincount(owner, weights=differs, minlength=members.size) == 0
+    if not equal.any():
+        return None
+    rep = np.arange(sf.ncols)
+    rep[members[equal]] = first[equal]
+    kept = rep == np.arange(sf.ncols)
+    column = np.cumsum(kept) - 1
+    group = column[rep]
+    size = np.bincount(group)
+    lower, upper = sf.lower[kept], sf.upper[kept]
+    grouped = size > 1
+    low, high = np.ceil(sf.lower), np.floor(sf.upper)
+    lower[grouped] = size[grouped] * low[kept][grouped]
+    upper[grouped] = size[grouped] * high[kept][grouped]
+    indptr, indices, data = _entries_where(sf.rows, kept[sf.rows[1]])
+    merged = _StandardForm.from_arrays(
+        [name for name, keep in zip(sf.names, kept) if keep],
+        lower,
+        upper,
+        sf.integral[kept],
+        sf.sign,
+        sf.obj[kept],
+        sf.integral_objective,
+        (indptr, column[indices].astype(np.int32), data),
+        sf.row_lower,
+        sf.row_upper,
+    )
+    # The columns of merged classes, by class and then index, each with
+    # its class's size, its place in the class and its width u - l.
+    spread_cols = np.flatnonzero(grouped[group])
+    spread_cols = spread_cols[np.argsort(group[spread_cols], kind="stable")]
+    classes = group[spread_cols]
+    count = size[classes]
+    rank = np.arange(spread_cols.size) - np.searchsorted(classes, classes)
+    width = high[spread_cols] - low[spread_cols]
+
+    def spread(x):
+        """The point of `sf` whose columns outside merged classes take
+        their merged column's value, and whose classes give each column
+        `ceil(l)` and fill the rest of the class's value into its columns
+        in ascending order, each up to `floor(u)`."""
+        point = x[group]
+        rest = point[spread_cols] - count * low[spread_cols] - rank * width
+        point[spread_cols] = low[spread_cols] + np.clip(rest, 0, width)
+        return point
+
+    return merged, spread
 
 
 def _propagate(sf: _StandardForm, lower, upper) -> bool:
@@ -363,10 +526,19 @@ def solve_lp_relaxation(model: LinearProgram) -> LpOutcome:
     return LpOutcome("optimal", sf.sign * value, point)
 
 
-def _objective_is_integral(model: LinearProgram) -> bool:
-    for name, coef in model.objective:
-        if not model.variable(name).is_integral:
-            return False
+def _objective_is_integral(terms, integral) -> bool:
+    """Whether the objective `terms` takes only integral values at integral
+    points: `integral[k]` tells whether the column of term k is integral;
+    each must be, and each coefficient must be a `Fraction` with
+    denominator 1 or a number `c` with `float(c) == int(c)`, which every
+    `int` of magnitude at most 2**53 is."""
+    if not integral.all():
+        return False
+    coefs = [coef for _, coef in terms]
+    whole = set(map(type, coefs)) <= {int}
+    if whole and -(2**53) <= min(coefs, default=0) and max(coefs, default=0) <= 2**53:
+        return True
+    for coef in coefs:
         if isinstance(coef, Fraction):
             if coef.denominator != 1:
                 return False
@@ -381,10 +553,11 @@ def solve(model: LinearProgram, config: Optional[SolverConfig] = None) -> SolveR
     deterministic search rules."""
     config = config or SolverConfig()
     start = time.perf_counter()
-    sf = _StandardForm(model)
+    original = _StandardForm(model)
+    sf, spread = _merge_columns(original) or (original, None)
     lp = _lp_solver(sf)
     int_idx = np.nonzero(sf.integral)[0]
-    integral_obj = _objective_is_integral(model)
+    integral_obj = sf.integral_objective
     obj_support = sf.obj[int_idx] != 0
 
     nodes = 0
@@ -522,13 +695,11 @@ def solve(model: LinearProgram, config: Optional[SolverConfig] = None) -> SolveR
         if incumbent_vec is None:
             bound = None if status == "Infeasible" else limit_bound()
             return SolveResult(status, None, None, bound, nodes, wall)
-        values = {}
-        for i, name in enumerate(sf.names):
-            if sf.integral[i]:
-                values[name] = int(round(incumbent_vec[i]))
-            else:
-                values[name] = float(incumbent_vec[i])
-        assignment = Assignment(values)
+        point = incumbent_vec if spread is None else spread(incumbent_vec)
+        values = np.empty(original.ncols, dtype=object)
+        values[:] = point.tolist()
+        values[original.integral] = np.rint(point[original.integral]).astype(np.int64).tolist()
+        assignment = Assignment(dict(zip(original.names, values.tolist())))
         report = check_assignment(
             model, assignment, FEASIBILITY_TOL, INTEGRALITY_TOL
         )

@@ -1,7 +1,10 @@
 import csv
 import hashlib
+import io
 import json
 import random
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 
@@ -458,7 +461,10 @@ class TestBench:
 # one command on one kind (temporary paths replaced by "<tmp>") and the
 # LP and MPS files the call wrote. The table was computed before elections
 # held plain candidate names and a voter range, when answers to targets
-# other than 1 were still relabeled back after the recheck.
+# other than 1 were still relabeled back after the recheck. The control
+# entries of the legacy and modern kinds were recomputed when the solver
+# began to search voters with one ballot as one count column, which moves
+# the kept and deleted sets and the node count of a few answers.
 
 GOLDEN_CLI = {
     ("winner", "legacy"): (
@@ -474,10 +480,10 @@ GOLDEN_CLI = {
         "cacd7975ae052abc9d8a4e5aca13c133e64763b0b3aa5498d215c653b365ad6c"
     ),
     ("control", "legacy"): (
-        "7268016b599b77f3cbf64fce5e7c714376867ce3e1a0e31a00f3cb1f605d45ec"
+        "4d4ff604e826a7d772901f017c703247b2d06f9922d8ef6d382773cae9efe2e9"
     ),
     ("control", "modern"): (
-        "ed482bcb779ec3e1f5475ec139138cb434f8a9d811a7899058b9b145385b785e"
+        "98b3491d212c6aaba40cf2b693f8f26f671c7b04e96363bb9060c2c690dadb86"
     ),
     ("control", "tied"): (
         "664b17aceacf67fa727fd09a25338d4add82192eaa7a93707b0fa429b59317f3"
@@ -564,22 +570,89 @@ def _golden_calls(command, path, m):
                 ]
 
 
-@pytest.mark.parametrize("kind", _GOLDEN_KINDS)
-@pytest.mark.parametrize("command", ["winner", "control", "verify", "export"])
-def test_cli_golden_digests(capsys, tmp_path, command, kind):
+def _outcome(argv, code, out):
+    """The outcome of one `control` or `verify` call: argv, exit code, and
+    the status, objective, bound and verification it printed, if any."""
+    record = [" ".join(argv), code]
+    if out:
+        payload = json.loads(out)
+        if argv[0] == "control":
+            bound = payload["solver"]["bound"]
+            record += [payload["status"], payload["objective"], bound, payload["verification"]]
+        else:
+            oracle = {key: payload[key] for key in ("match", "oracle_status", "oracle_objective")}
+            record += [payload["solver_status"], payload["solver_objective"], None, oracle]
+    return json.dumps(record, sort_keys=True)
+
+
+def golden_digests(command, kind, folder):
+    """SHA-256 digests of every call of `command` on the three seeded files
+    of `kind`, written into `folder`: the full digest of `GOLDEN_CLI`, and
+    the digest of `_outcome` of each call, which `GOLDEN_CLI_OUTCOMES` pins
+    for `control` and `verify`. The call's stdout and stderr are captured."""
     rng = random.Random(_GOLDEN_KINDS.index(kind))
-    digest = hashlib.sha256()
+    full, outcomes = hashlib.sha256(), hashlib.sha256()
     for number in range(3):
         suffix, text, m = _golden_text(rng, kind)
-        path = tmp_path / f"in{number}{suffix}"
+        path = Path(folder) / f"in{number}{suffix}"
         path.write_text(text)
         for argv in _golden_calls(command, str(path), m):
-            code = main(argv)
-            out = capsys.readouterr().out
+            stdout = io.StringIO()
+            with redirect_stdout(stdout), redirect_stderr(io.StringIO()):
+                code = main(argv)
+            out = stdout.getvalue()
             record = [" ".join(argv), str(code), out]
             for written in (path.with_suffix(".lp"), path.with_suffix(".mps")):
                 if written.exists():
                     record.append(written.read_text())
                     written.unlink()
-            digest.update("\0".join(record).replace(str(tmp_path), "<tmp>").encode() + b"\1")
-    assert digest.hexdigest() == GOLDEN_CLI[(command, kind)]
+            full.update("\0".join(record).replace(str(folder), "<tmp>").encode() + b"\1")
+            if command in ("control", "verify"):
+                outcome = _outcome(argv, code, out).replace(str(folder), "<tmp>")
+                outcomes.update(outcome.encode() + b"\n")
+    return full.hexdigest(), outcomes.hexdigest()
+
+
+@pytest.mark.parametrize("kind", _GOLDEN_KINDS)
+@pytest.mark.parametrize("command", ["winner", "control", "verify", "export"])
+def test_cli_golden_digests(tmp_path, command, kind):
+    assert golden_digests(command, kind, tmp_path)[0] == GOLDEN_CLI[(command, kind)]
+
+
+# The outcome of every `control` and `verify` call of the sweep above:
+# argv, exit code, status, objective, bound and verification, without the
+# kept and deleted sets or the node count. Computed before the solver
+# searched interchangeable columns merged, which may move which voters are
+# kept and how many nodes are searched, never these.
+GOLDEN_CLI_OUTCOMES = {
+    ('control', 'legacy'): (
+        "b964f11f9359e404962f713fd9e9fc07e2b17dd8ff52e3a936f7a70f01e1236d"
+    ),
+    ('control', 'modern'): (
+        "2675104973c3a8e0414b87ac011d86b5651558f5dbe41964378267717f1a61ed"
+    ),
+    ('control', 'tied'): (
+        "d661ec815a80b5b62a4191f41fbb84ff8e87850a0532c5a40d0308b5ed9a1680"
+    ),
+    ('control', 'csv'): (
+        "3f764f3f1f42430f324df15898e3d6129e2b7ab4ae9935ff71acac38fbd8dc28"
+    ),
+    ('verify', 'legacy'): (
+        "7f619b36d83d00bf47718b23b75f125b8acb654fbd7b9a2703b1e38227951910"
+    ),
+    ('verify', 'modern'): (
+        "624d48332d29ada93dbf3b14ef85754788e74e4d74c7e758d8fe7fbc63fbc19a"
+    ),
+    ('verify', 'tied'): (
+        "6193df21cd2e8f7a585145cde1ea5f182096ad032a5c251324bac264abacbf21"
+    ),
+    ('verify', 'csv'): (
+        "d3002f86d3d58f8053e38fdb4b7745f5c4c72d7a50ebc651222d25331639cd38"
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", _GOLDEN_KINDS)
+@pytest.mark.parametrize("command", ["control", "verify"])
+def test_cli_outcome_digests(tmp_path, command, kind):
+    assert golden_digests(command, kind, tmp_path)[1] == GOLDEN_CLI_OUTCOMES[(command, kind)]

@@ -72,6 +72,25 @@ class TestTypes:
         with pytest.raises(ValueError, match="integers"):
             StrictProfile(((1, 2, 3), (2, 1.0, 3)))
 
+    def test_float_ballot_equal_to_an_integer_ballot_is_rejected(self):
+        # (1.0, 2.0, 3.0) == (1, 2, 3), so the two are one ballot to the
+        # once-per-ballot permutation check; the label check sees both.
+        with pytest.raises(ValueError, match="integers"):
+            StrictProfile(((1, 2, 3), (3, 1, 2), (1.0, 2.0, 3.0)))
+
+    @pytest.mark.parametrize(
+        "rankings,voter",
+        [
+            (((1, 2, 3), (3, 3, 1), (1, 2, 3), (2, 2, 1)), 2),
+            (((1, 2, 3), (1, 2, 3), (2, 2, 1), (3, 3, 1), (2, 2, 1)), 3),
+            (((2, 1, 3), (1, 2, 3), (2, 1, 3), (1, 2)), 4),
+        ],
+    )
+    def test_first_voter_with_a_bad_ballot_is_named(self, rankings, voter):
+        with pytest.raises(ValueError) as error:
+            StrictProfile(rankings)
+        assert str(error.value) == f"ranking of voter {voter} is not a permutation of 1..3"
+
     def test_tie_groups_reject_non_integer_labels(self):
         with pytest.raises(ValueError, match="integers"):
             TiedProfile((((1.0, 2.0), (3.0,)),))

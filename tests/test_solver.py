@@ -12,15 +12,18 @@ from scipy.sparse import csr_matrix, vstack
 from ballotcontrol import solver as solver_module
 from ballotcontrol import (
     ControlSpec,
+    Election,
     LinearProgram,
     SolverConfig,
     SolverError,
     build_problem,
     canonical_result,
+    brute_force_control,
     check_assignment,
     encode_ce,
     encode_re,
     solve,
+    solve_control,
     solve_lp_relaxation,
     StrictProfile,
     ScoreMatrix,
@@ -219,6 +222,143 @@ def test_rows_and_kernels_match_scipy_sparse():
             ok = not (np.any(want > sf.row_upper) or np.any(want < sf.row_lower))
             assert sf.feasible_point(x, 0.0) == ok
         assert_same_arrays(sf.propagation_data(), scipy_propagation_data(sf, matrix))
+
+
+def duplicated_program(rng):
+    """Random integer program whose columns come in classes of one to four
+    equal columns, declared in shuffled order: binary classes, integer
+    classes with nonzero or negative bounds, a class in no row with an
+    objective coefficient and a class in no row without one. The rows are
+    of all three senses, and a random point of the box satisfies each with
+    probability about 3/4."""
+    model = LinearProgram("duplicated")
+    classes = []
+    for k in range(rng.randint(2, 6)):
+        lower, upper = rng.choice(((0, 1), (0, 3), (-3, -1), (-2, 0), (-2, 2), (1, 4), (2, 2)))
+        kind = "binary" if (lower, upper) == (0, 1) and rng.random() < 0.5 else "integer"
+        classes.append((kind, lower, upper, rng.randint(-4, 4), rng.randint(1, 4)))
+    classes.append(("integer", -1, 2, rng.choice((-2, 3)), rng.randint(2, 3)))
+    classes.append(("binary", 0, 1, 0, rng.randint(2, 3)))
+    columns = [(c, j) for c, spec in enumerate(classes) for j in range(spec[-1])]
+    rng.shuffle(columns)
+    members = [[] for _ in classes]
+    point = {}
+    for c, j in columns:
+        kind, lower, upper, _, _ = classes[c]
+        name = model.add_variable(f"t{c}_{j}", kind, lower, upper)
+        members[c].append(name)
+        point[name] = rng.randint(lower, upper)
+    model.set_objective(
+        rng.choice(("max", "min")),
+        [(name, classes[c][3]) for c in range(len(classes)) for name in members[c]],
+    )
+    in_rows = len(classes) - 2
+    for _ in range(rng.randint(1, 5)):
+        coefs = {c: rng.randint(-5, 5) for c in range(in_rows) if rng.random() < 0.7}
+        terms = [(name, coefs[c]) for c in coefs for name in members[c]]
+        rng.shuffle(terms)
+        sense = rng.choice(("<=", ">=", "="))
+        activity = sum(coef * point[name] for name, coef in terms)
+        slack = {"<=": 1, ">=": -1, "=": 0}[sense] * rng.randint(-1, 3)
+        model.add_constraint(terms, sense, activity + slack)
+    return model
+
+
+class TestMergedColumns:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_planted_duplicates_match_milp(self, seed):
+        rng = random.Random(f"merge/{seed}")
+        for _ in range(25):
+            model = duplicated_program(rng)
+            assert solver_module._merge_columns(solver_module._StandardForm(model)) is not None
+            result = solve(model)
+            assert (result.status, result.objective) == milp_optimum(model)
+
+    def test_classes_fill_lowest_indexed_columns_first(self):
+        # Two classes of interchangeable columns, interleaved with a third
+        # column: each class is one column of the search, and its value is
+        # spread over its members in declaration order. Equal continuous
+        # columns stay apart, and so do columns in no row that differ only
+        # in one bound or in the objective (d0 to d3; d4 equals d0).
+        model = LinearProgram("spread")
+        model.add_variable("a0", "binary")
+        model.add_variable("c0", "continuous", 0, 2)
+        model.add_variable("c1", "continuous", 0, 2)
+        model.add_variable("b0", "integer", -2, 3)
+        model.add_variable("a1", "binary")
+        model.add_variable("other", "integer", 0, 5)
+        model.add_variable("b1", "integer", -2, 3)
+        model.add_variable("a2", "binary")
+        model.add_variable("b2", "integer", -2, 3)
+        model.add_variable("a3", "binary")
+        for name, lower, upper in (
+            ("d0", 0, 1), ("d1", 0, 2), ("d2", -1, 1), ("d3", 0, 1), ("d4", 0, 1)
+        ):
+            model.add_variable(name, "integer", lower, upper)
+        a = [f"a{i}" for i in range(4)]
+        b = [f"b{i}" for i in range(3)]
+        model.set_objective("max", [(x, 1) for x in a + b] + [("other", 1), ("d3", 2)])
+        model.add_constraint([(x, 1) for x in a], "<=", 2)
+        model.add_constraint([(x, 1) for x in b] + [("other", 1)], "<=", 4)
+        model.add_constraint([("other", 1)], ">=", 5)
+        model.add_constraint([("c0", 1), ("c1", 1)], "<=", 3)
+        merged, _ = solver_module._merge_columns(solver_module._StandardForm(model))
+        assert merged.names == ["a0", "c0", "c1", "b0", "other", "d0", "d1", "d2", "d3"]
+        assert merged.lower.tolist() == [0, 0, 0, -6, 0, 0, 0, -1, 0]
+        assert merged.upper.tolist() == [4, 2, 2, 9, 5, 2, 2, 1, 1]
+        result = solve(model)
+        assert result.status == "Optimal" and result.objective == 8
+        assert [result.incumbent.values[x] for x in a] == [1, 1, 0, 0]
+        assert [result.incumbent.values[x] for x in b] == [3, -2, -2]
+        assert all(type(result.incumbent.values[x]) is int for x in a + b + ["other", "d0"])
+        assert all(type(result.incumbent.values[x]) is float for x in ("c0", "c1"))
+
+    @pytest.mark.parametrize(
+        "rule,mode",
+        [
+            ("condorcet", "constructive"),
+            ("condorcet", "destructive"),
+            ("maximin", "constructive"),
+            ("maximin", "destructive"),
+            ("bucklin", "constructive"),
+            ("bucklin", "destructive"),
+        ],
+    )
+    def test_duplicated_ballots_keep_lowest_indexed_voters(self, rule, mode):
+        rng = random.Random(f"ballots/{rule}/{mode}")
+        solved = 0
+        for _ in range(6):
+            ballots = [tuple(rng.sample(range(1, 5), 4)) for _ in range(3)]
+            rankings = [rng.choice(ballots) for _ in range(12)]
+            election = Election.from_rankings(rankings)
+            spec = ControlSpec(rule, "delete-voters", mode, rng.randint(1, 4))
+            outcome = solve_control(election, spec)
+            oracle = brute_force_control(election, spec)
+            solution = outcome.solution
+            assert (solution.status, solution.objective) == (oracle.status, oracle.objective)
+            if solution.status != "Optimal":
+                continue
+            solved += 1
+            for ballot in set(rankings):
+                voters = [v for v, r in enumerate(rankings, start=1) if r == ballot]
+                kept = [v for v in voters if v in solution.kept]
+                assert kept == voters[: len(kept)], (ballot, voters, kept)
+        assert solved >= 3
+
+
+# SHA-256 over `canonical_result(solve(...))` of the mixed programs, none of
+# which has two equal integral columns, computed before the solver merged
+# such columns: on a model without them the search runs on the form as it
+# is, bit for bit.
+UNMERGED_GOLDEN = "a46ec6b1fc806262f036ecc342509811fc1f3caa1866ae280ac1f89f2ad9a470"
+
+
+def test_no_duplicate_columns_search_unchanged():
+    digest = hashlib.sha256()
+    for model in propagation_programs("mixed"):
+        assert solver_module._merge_columns(solver_module._StandardForm(model)) is None
+        digest.update(canonical_result(solve(model)).encode() + b"\n")
+    assert digest.hexdigest() == UNMERGED_GOLDEN
 
 
 class TestLpRelaxation:
