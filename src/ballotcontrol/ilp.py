@@ -3,7 +3,9 @@
 Models are built single-threaded through the LinearProgram methods and
 treated as immutable afterwards. Coefficients, bounds, and right-hand
 sides are plain Python numbers; encoders only produce integers, so
-feasibility checks on rounded assignments are exact.
+feasibility checks on rounded assignments are exact. A model compiles its
+rows once into a `RowTable` of CSR arrays (`LinearProgram.row_table`),
+which the solver's standard form and `check_assignment` both read.
 
 Text formats: a five-section LP dialect (Maximize/Minimize, Subject To,
 Bounds, Binaries, Generals, End) that `parse_lp` reads back losslessly
@@ -13,10 +15,15 @@ and LI/UI bound entries for general integers.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
+from operator import itemgetter
 from typing import Mapping, Optional, Sequence, Union
+
+import numpy as np
 
 Number = Union[int, float, Fraction]
 
@@ -87,6 +94,43 @@ class Assignment:
         return self.values[name]
 
 
+@dataclass(frozen=True)
+class RowTable:
+    """The constraint terms of a model as CSR arrays, in constraint order
+    and each row's terms in their order: row i holds the columns
+    `indices[indptr[i]:indptr[i + 1]]` (the variables' declaration
+    indices) with the coefficients `coefs` over the same range. `indptr`
+    and `indices` are int32. `coefs` is int64 when every coefficient is a
+    plain `int` (not a `bool`) that fits, and otherwise float64, each
+    entry `float(coef)`."""
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    coefs: np.ndarray
+
+    @property
+    def exact(self) -> bool:
+        """Whether `coefs` holds the coefficients themselves, as int64."""
+        return self.coefs.dtype == np.int64
+
+
+def _row_table(constraints, index) -> RowTable:
+    """The `RowTable` of `constraints`, with `index` mapping each variable
+    name to its column, built in one pass over the flattened terms."""
+    terms = list(chain.from_iterable(c.terms for c in constraints))
+    indptr = np.zeros(len(constraints) + 1, dtype=np.int32)
+    sizes = np.fromiter(map(len, (c.terms for c in constraints)), np.int32, len(constraints))
+    np.cumsum(sizes, out=indptr[1:])
+    indices = np.fromiter(map(index.__getitem__, map(itemgetter(0), terms)), np.int32, len(terms))
+    coefs = list(map(itemgetter(1), terms))
+    if set(map(type, coefs)) <= {int}:
+        try:
+            return RowTable(indptr, indices, np.array(coefs, dtype=np.int64))
+        except OverflowError:
+            pass
+    return RowTable(indptr, indices, np.fromiter(coefs, float, len(coefs)))
+
+
 class LinearProgram:
     """Variables with bounds and integrality, linear constraints, objective."""
 
@@ -97,12 +141,14 @@ class LinearProgram:
         self.objective_sense = "max"
         self.objective: tuple[tuple[str, Number], ...] = ()
         self._index: dict[str, int] = {}
+        self._rows: Optional[RowTable] = None
 
     def add_variable(self, name, kind=CONTINUOUS, lower=0, upper=1) -> str:
         if name in self._index:
             raise ValueError(f"variable {name!r} already declared")
         self._index[name] = len(self.variables)
         self.variables.append(Variable(name, kind, lower, upper))
+        self._rows = None
         return name
 
     def variable(self, name: str) -> Variable:
@@ -114,7 +160,15 @@ class LinearProgram:
             if name not in self._index:
                 raise ValueError(f"constraint {tag!r} references undeclared variable {name!r}")
         self.constraints.append(constraint)
+        self._rows = None
         return constraint
+
+    def row_table(self) -> RowTable:
+        """The rows as a `RowTable`, built on the first call and kept until
+        `add_variable` or `add_constraint` changes the model."""
+        if self._rows is None:
+            self._rows = _row_table(self.constraints, self._index)
+        return self._rows
 
     def set_objective(self, sense, terms):
         if sense not in ("max", "min"):
@@ -200,15 +254,19 @@ def add_alternative_block(
 
 @dataclass(frozen=True)
 class CheckReport:
-    """Outcome of checking an assignment against a model."""
+    """Outcome of checking an assignment against a model: the objective
+    value, the violated rows as (index, tag, amount), the integral
+    variables with fractional values and the variables outside their
+    bounds, each as (name, value)."""
 
     objective: Number
     violations: tuple[tuple[int, str, Number], ...]
     integrality: tuple[tuple[str, Number], ...]
+    bounds: tuple[tuple[str, Number], ...]
 
     @property
     def ok(self) -> bool:
-        return not self.violations and not self.integrality
+        return not self.violations and not self.integrality and not self.bounds
 
 
 def check_assignment(
@@ -217,26 +275,83 @@ def check_assignment(
     feas_tol: Number = 0,
     int_tol: Number = 0,
 ) -> CheckReport:
-    """List constraint violations beyond feas_tol and integrality violations
-    beyond int_tol. Exact when data and assignment values are integers."""
+    """List constraint violations beyond feas_tol, integrality violations
+    beyond int_tol, and values that leave their variable's bounds by more
+    than feas_tol. Exact when data and assignment values are integers.
+
+    When every coefficient, right-hand side, bound and value is a plain
+    `int` and no row sum can overflow, the rows are summed in int64 over
+    the model's `RowTable`; otherwise they are summed in Python. Both give
+    the same report, with Python numbers throughout."""
     values = assignment.values
     for var in model.variables:
         if var.name not in values:
             raise ValueError(f"assignment is missing a value for {var.name!r}")
+    found = _check_int64(model, values, feas_tol, int_tol)
+    if found is None:
+        found = _check_python(model, values, feas_tol, int_tol)
+    return CheckReport(model.objective_value(values), *map(tuple, found))
+
+
+def _check_python(model, values, feas_tol, int_tol):
+    """The violations, integrality and bounds lists of `check_assignment`,
+    computed term by term in Python numbers."""
     violations = []
     for idx, constraint in enumerate(model.constraints):
         amount = constraint.violation(values)
         if amount > feas_tol:
             violations.append((idx, constraint.tag, amount))
     integrality = []
+    bounds = []
     for var in model.variables:
-        if var.is_integral:
-            value = values[var.name]
-            if abs(value - round(value)) > int_tol:
-                integrality.append((var.name, value))
-    return CheckReport(
-        model.objective_value(values), tuple(violations), tuple(integrality)
-    )
+        value = values[var.name]
+        if var.is_integral and abs(value - round(value)) > int_tol:
+            integrality.append((var.name, value))
+        if max(var.lower - value, value - var.upper) > feas_tol:
+            bounds.append((var.name, value))
+    return violations, integrality, bounds
+
+
+def _check_int64(model, values, feas_tol, int_tol):
+    """`_check_python`'s lists computed in int64 arrays, or None unless
+    every coefficient, right-hand side, bound and value is a plain `int`,
+    the tolerances are finite and int_tol is not negative (integral values
+    then have no integrality violation), and |coef|·|value|·(row length)
+    bounds every row sum below 2**63."""
+    table = model.row_table()
+    if not table.exact or not 0 <= int_tol or not math.isfinite(feas_tol):
+        return None
+    variables, constraints = model.variables, model.constraints
+    point = [values[var.name] for var in variables]
+    lower = [var.lower for var in variables]
+    upper = [var.upper for var in variables]
+    rhs = [c.rhs for c in constraints]
+    numbers = (point, lower, upper, rhs)
+    if not set(map(type, chain(*numbers))) <= {int}:
+        return None
+    big = max(map(abs, chain(*numbers)), default=0)
+    coef = max(int(table.coefs.max(initial=0)), -int(table.coefs.min(initial=0)))
+    longest = int(np.diff(table.indptr).max(initial=0))
+    if (coef * longest + 2) * big >= 2**63:
+        return None
+    x, lower, upper, rhs = (np.array(a, dtype=np.int64) for a in numbers)
+    # Each row sum is a difference of prefix sums. These may wrap, so they
+    # are taken in uint64, where wrapping is defined; the differences are
+    # the exact row sums, which fit.
+    prefix = np.zeros(table.coefs.size + 1, dtype=np.uint64)
+    np.cumsum((table.coefs * x[table.indices]).view(np.uint64), out=prefix[1:])
+    lhs = (prefix[table.indptr[1:]] - prefix[table.indptr[:-1]]).view(np.int64)
+    sense = np.array([c.sense for c in constraints], dtype="<U2")
+    diff = lhs - rhs
+    amount = np.select([sense == "<=", sense == ">="], [diff, -diff], np.abs(diff))
+    # An integer exceeds feas_tol exactly when it exceeds floor(feas_tol);
+    # the threshold is clamped into int64, beyond which no amount lies.
+    threshold = min(max(math.floor(feas_tol), -(2**63)), 2**63 - 1)
+    rows = np.flatnonzero(amount > threshold).tolist()
+    violations = [(i, constraints[i].tag, a) for i, a in zip(rows, amount[rows].tolist())]
+    outside = np.flatnonzero(np.maximum(lower - x, x - upper) > threshold).tolist()
+    bounds = [(variables[j].name, point[j]) for j in outside]
+    return violations, [], bounds
 
 
 _NAME_RE = re.compile(r"[^A-Za-z0-9_.\[\]]")

@@ -2,10 +2,11 @@
 
     PYTHONPATH=src python tests/golden_digests.py [TABLE ...]
 
-Prints each named table (all of them by default) as a Python dict literal
-to paste over the one in its test file: `GOLDEN`, `SOLVE_GOLDEN` and
+Prints each named table (all of them by default) as a Python literal to
+paste over the one in its test file: `GOLDEN`, `SOLVE_GOLDEN` and
 `OUTCOME_GOLDEN` of `test_model_golden.py`, `GOLDEN_CLI` and
-`GOLDEN_CLI_OUTCOMES` of `test_cli.py`. A change that moves the search on
+`GOLDEN_CLI_OUTCOMES` of `test_cli.py`, each a dict, and the single digest
+`UNMERGED_GOLDEN` of `test_solver.py`. A change that moves the search on
 purpose runs it at its parent commit and at the change, and records every
 digest that differs, old and new, with the reason.
 """
@@ -15,6 +16,7 @@ import tempfile
 
 import test_cli
 import test_model_golden as models
+import test_solver
 
 
 def cli_table(index, commands):
@@ -34,6 +36,7 @@ TABLES = {
     },
     "GOLDEN_CLI": lambda: cli_table(0, ("winner", "control", "verify", "export")),
     "GOLDEN_CLI_OUTCOMES": lambda: cli_table(1, ("control", "verify")),
+    "UNMERGED_GOLDEN": test_solver.unmerged_digest,
 }
 
 
@@ -42,8 +45,12 @@ def main(names):
     if unknown:
         sys.exit(f"unknown table {', '.join(unknown)}; known: {', '.join(TABLES)}")
     for name in names or TABLES:
+        table = TABLES[name]()
+        if isinstance(table, str):
+            print(f'{name} = "{table}"\n')
+            continue
         print(f"{name} = {{")
-        for key, digest in TABLES[name]().items():
+        for key, digest in table.items():
             print(f"    {key!r}: (\n        \"{digest}\"\n    ),")
         print("}\n")
 

@@ -5,8 +5,10 @@ from fractions import Fraction
 
 import pytest
 
+from ballotcontrol import ilp
 from ballotcontrol import (
     Assignment,
+    CheckReport,
     ControlSpec,
     Election,
     LinearConstraint,
@@ -17,6 +19,7 @@ from ballotcontrol import (
     export_lp,
     export_mps,
     parse_lp,
+    solve,
 )
 from genutil import (
     models_equal,
@@ -147,6 +150,129 @@ class TestCheckAssignment:
         model.add_constraint([(x, 3)], "<=", 9, tag="row")
         assert check_assignment(model, Assignment({"x": 3}), feas_tol=0).ok
         assert not check_assignment(model, Assignment({"x": 4}), feas_tol=0).ok
+
+    def test_value_outside_bounds_reported(self):
+        model = LinearProgram()
+        model.add_variable("y", "binary")
+        model.add_variable("z", "continuous", Fraction(1, 3), 2)
+        model.set_objective("max", [("y", 1)])
+        report = check_assignment(model, Assignment({"y": 7, "z": 0.3}))
+        assert (report.violations, report.integrality) == ((), ())
+        assert report.bounds == (("y", 7), ("z", 0.3))
+        assert not report.ok
+        # A bound is missed by more than feas_tol, as a row is.
+        report = check_assignment(model, Assignment({"y": 1, "z": 0.3}), feas_tol=0.05)
+        assert report.ok
+
+
+def integer_program(rng):
+    """Random program over plain ints: binary, integer and continuous
+    columns, rows of all three senses with negative and zero coefficients,
+    empty rows, and a point of ints inside or outside the bounds."""
+    model = LinearProgram("integers")
+    names = []
+    for i in range(rng.randint(1, 8)):
+        kind = rng.choice(("binary", "integer", "continuous"))
+        lower, upper = (0, 1) if kind == "binary" else sorted(rng.randint(-6, 6) for _ in "lu")
+        names.append(model.add_variable(f"x{i}", kind, lower, upper))
+    model.set_objective(
+        rng.choice(("max", "min")), [(x, rng.randint(-5, 5)) for x in names if rng.random() < 0.7]
+    )
+    for k in range(rng.randint(0, 8)):
+        terms = [(x, rng.randint(-9, 9)) for x in names if rng.random() < 0.6]
+        model.add_constraint(terms, rng.choice(("<=", ">=", "=")), rng.randint(-20, 20), f"r{k}")
+    return model, {x: rng.randint(-8, 8) for x in names}
+
+
+def typed(found):
+    """The lists of a check with each number paired with its type."""
+    return [[tuple((v, type(v)) for v in item) for item in part] for part in found]
+
+
+def assert_python_report(model, point, feas_tol, int_tol):
+    """`check_assignment` equals the report of the term-by-term path."""
+    want = ilp._check_python(model, point, feas_tol, int_tol)
+    report = check_assignment(model, Assignment(point), feas_tol, int_tol)
+    assert report == CheckReport(model.objective_value(point), *map(tuple, want))
+    assert typed((report.violations, report.integrality, report.bounds)) == typed(want)
+
+
+TOLERANCES = (0, 1, 2, 1e-9, 1e-6, 0.5, 2.5, -1, -0.5, Fraction(5, 2))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_int64_check_matches_python_check(seed):
+    rng = random.Random(f"check/{seed}")
+    reported = 0
+    for _ in range(100):
+        model, point = integer_program(rng)
+        feas_tol, int_tol = rng.choice(TOLERANCES), rng.choice((0, 1e-5, 0.5))
+        fast = ilp._check_int64(model, point, feas_tol, int_tol)
+        assert fast is not None
+        assert typed(fast) == typed(ilp._check_python(model, point, feas_tol, int_tol))
+        assert_python_report(model, point, feas_tol, int_tol)
+        reported += bool(fast[0]) + bool(fast[2])
+        # A negative integrality tolerance flags every integral value, and
+        # is left to Python.
+        assert ilp._check_int64(model, point, feas_tol, -1) is None
+        assert_python_report(model, point, feas_tol, -1)
+    assert reported >= 50
+
+
+def fallback_program(coef=3, rhs=4, lower=-2):
+    model = LinearProgram("fallback")
+    model.add_variable("x", "integer", lower, 5)
+    model.add_variable("y", "integer", -2, 5)
+    model.set_objective("max", [("x", 1)])
+    model.add_constraint([("x", coef), ("y", coef)], "<=", rhs, "row")
+    model.add_constraint([("y", 1)], ">=", 7, "y-big")
+    return model
+
+
+FALLBACKS = {
+    "fraction": ({"coef": Fraction(1, 2)}, {"x": 3, "y": 6}),
+    "float": ({"coef": 2.0}, {"x": 3, "y": 6}),
+    "bool": ({"coef": True}, {"x": 3, "y": 6}),
+    "2**62": ({"coef": 2**62}, {"x": 3, "y": 6}),
+    "2**63": ({"coef": 2**63}, {"x": 3, "y": 6}),
+    "float-rhs": ({"rhs": 4.0}, {"x": 3, "y": 6}),
+    "fraction-bound": ({"lower": Fraction(-3, 2)}, {"x": 3, "y": 6}),
+    "float-value": ({}, {"x": 3.0, "y": 6}),
+    "huge-value": ({}, {"x": 2**62, "y": 6}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FALLBACKS))
+def test_check_falls_back_to_python(case):
+    change, point = FALLBACKS[case]
+    model = fallback_program(**change)
+    for feas_tol, int_tol in ((0, 0), (1e-6, 1e-5), (0.5, 0)):
+        assert ilp._check_int64(model, point, feas_tol, int_tol) is None
+        assert_python_report(model, point, feas_tol, int_tol)
+
+
+def test_row_table_follows_the_model():
+    model, _ = integer_program(random.Random(3))
+    table = model.row_table()
+    assert model.row_table() is table
+    model.add_variable("late", "binary")
+    assert model.row_table() is not table
+    table = model.row_table()
+    model.add_constraint([("late", 1)], "<=", 1)
+    assert model.row_table().indptr.size == table.indptr.size + 1
+
+
+def test_solve_after_a_cut_sees_the_new_row():
+    model = LinearProgram("cut")
+    xs = [model.add_variable(f"x{i}", "integer", 0, 4) for i in range(3)]
+    model.set_objective("max", [(x, c) for x, c in zip(xs, (3, 2, 1))])
+    model.add_constraint([(x, 1) for x in xs], "<=", 5)
+    first = solve(model)
+    assert (first.status, first.objective) == ("Optimal", 14)
+    model.add_constraint([(xs[0], 1)], "<=", 2, "cut")
+    second = solve(model)
+    assert (second.status, second.objective) == ("Optimal", 12)
+    assert second.incumbent.values == {"x0": 2, "x1": 3, "x2": 0}
 
 
 class TestLpFormat:

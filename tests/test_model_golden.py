@@ -120,46 +120,46 @@ def test_models_match_golden_table(key):
 
 SOLVE_GOLDEN = {
     ('bucklin', 'delete-candidates', 'constructive'): (
-        "f18efe27d4a9dc2db91937b5d305265f422b0348f2e79deb57ec37d59c74429e"
+        "91961b9f2a8a33d22f1848db461712d6674005002a3206469c7b830113f89c0a"
     ),
     ('bucklin', 'delete-candidates', 'destructive'): (
-        "260677bb7d22322dad0d32c11ca9e1d176731e6a7e826784535a55e56278a56e"
+        "db02b1e8730351b3c4fa8d5427e0ee4655657dba8570cc07818538a17d19df1a"
     ),
     ('bucklin', 'delete-voters', 'constructive'): (
-        "872513b2344b00f9df5e38d27b77517b1c692c1de55f0f34f77840c7906fd26e"
+        "437b5b3f4014c90e1c6ddeb2cea6764cbcde36f8d924cbe9eaff67336e7af009"
     ),
     ('bucklin', 'delete-voters', 'destructive'): (
-        "c6b8b185a559cb3d736a38ca132453631ccb48f260f2b29f8372dd70944f8c74"
+        "53e17b2ea119c06a908e60946f5fd37a9e823a2bd6d2b65fa3e12fba104dc432"
     ),
     ('condorcet', 'delete-voters', 'constructive'): (
-        "c249152e491048f2aa08967518c8a3bd800fa3fc9307f9c4263a6a8863d6dc5d"
+        "fa66a32c2273aea94c7f7ebd197cc26936206c42dc6e0aa50c793c61515ea539"
     ),
     ('condorcet', 'delete-voters', 'destructive'): (
-        "5fb583b565eae148358fbdc35a1587c2241ba25d4058d0a876a0314fc960d47d"
+        "f55fff9fdb4b097e0755b65965d60e949173bd58b053a167c19ab88a47c76267"
     ),
     ('maximin', 'delete-voters', 'constructive'): (
-        "56bd81f45a33ff07b09867ddad493cada792c899fed4920bbb44c25f69af2abe"
+        "f867c76319ca74f64b73b218eecbca66ced14042a0d70dbc1375255965a9f33d"
     ),
     ('maximin', 'delete-voters', 'destructive'): (
-        "82f2fb70db469a02d9b742023c99672b93340b03912e5016786b1cfc62a02d94"
+        "a97ee28cfeaf74f563faf05aa87018cc3702b46a84c0277750ef84ac4a727ba0"
     ),
     ('plurality', 'delete-candidates', 'constructive'): (
-        "7c2ed6477a29717d3477f33f4fa889de88ea06c21d006a15b2da870ec568a395"
+        "e09efe681d9073c05dbb64c85f681b4838c0501c335a3534f70da7b912ce8ab0"
     ),
     ('plurality', 'delete-candidates', 'destructive'): (
-        "e00e371c5baabbb35dd6a667b5e90cb02776deb80dcc4bb145accc9b8e184c31"
+        "81178f60074fed5f4b10f1cd1a820f31cb9f206aca951fbda332717455fc25e6"
     ),
     ('range', 'delete-voters', 'constructive'): (
         "1ae9e7aa3a3b70e677aad45c2a12599e59c8cc6b563fee6ab82f8258aafb1329"
     ),
     ('range', 'delete-voters', 'destructive'): (
-        "5e520d4d8b97e6bb84b234184bc5854b2f060828ad07fdddb03484e366094c59"
+        "a53380960e33536c93fa621227aa8ba4eccd7a95f3788950bebd7f89acef6964"
     ),
     ('random-binary',): (
-        "bbf4662315d758e0541599e282e7da82f56bd4e3fbace1206ffce6329f23ea68"
+        "f602d4de9c11bd2d435e24cc65cbafe7250270cdb2c33c3756188cfc232f310a"
     ),
     ('random-big-coefficient',): (
-        "401613e6e1e6472a3d8005d7c234d3892ecd7a4f2f0f119de48dac04f38cb4fa"
+        "f93150db36aa56939c3c64039f2ffb7cae553ade1ba00db12b95fbcef57eab8d"
     ),
 }
 
