@@ -48,6 +48,8 @@ class StrictProfile:
     def __post_init__(self):
         if not self.rankings:
             raise ValueError("profile needs at least one voter")
+        if not self.rankings[0]:
+            raise ValueError("profile needs at least one candidate")
         # The labels' types are checked on every ballot: (1, 2, 3) and
         # (1.0, 2.0, 3.0) are equal, so one could hide behind the other.
         # The permutation check depends on values only and runs once per
@@ -180,6 +182,8 @@ class Election:
         return len(self.voters)
 
     def candidate_name(self, index: int) -> str:
+        if not 1 <= index <= self.m:
+            raise ValueError(f"candidate {index} out of range 1..{self.m}")
         return self.candidates[index - 1]
 
     @classmethod

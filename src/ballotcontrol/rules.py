@@ -103,6 +103,8 @@ def maximin_winner(profile: StrictProfile) -> WinnerOutcome:
 
 def bucklin_rank_set(profile: StrictProfile, voter: int, k: int) -> frozenset[int]:
     """Candidates ranked among the top k positions by the given voter."""
+    if not 1 <= voter <= profile.n:
+        raise ValueError(f"voter {voter} out of range 1..{profile.n}")
     if not 1 <= k <= profile.m:
         raise ValueError(f"depth {k} out of range 1..{profile.m}")
     return frozenset(profile.rankings[voter - 1][:k])

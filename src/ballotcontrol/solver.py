@@ -56,8 +56,9 @@ import importlib.util
 import math
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cached_property
 from pathlib import Path
 from typing import Optional
 
@@ -122,8 +123,10 @@ OPTIMALITY_TOL = 1e-6
 INTEGRALITY_TOL = 1e-5
 
 
+@dataclass(frozen=True, eq=False)
 class _StandardForm:
-    """Arrays shared by every LP solve of one model.
+    """Arrays shared by every LP solve of one model, built by
+    `_standard_form`.
 
     The rows are the plain CSR arrays `rows = (indptr, indices, data)` of
     a matrix `A`, with `indptr` and `indices` int32 and each row's nonzero
@@ -135,77 +138,28 @@ class _StandardForm:
     one-sided form `A @ x <= b`. The columns have finite boxes
     `lower`/`upper`, and `obj` is the objective, internally always
     maximized; `integral_objective` tells whether it takes only integral
-    values at integral points (`_objective_is_integral`). `from_arrays`
-    builds a form from these arrays directly, as `_merge_columns` does.
+    values at integral points (`_objective_is_integral`). The merged form
+    of `_merge_columns` shares `row_lower` and `row_upper` with the form it
+    is derived from; the search writes no array of either.
     """
 
-    def __init__(self, model: LinearProgram):
-        names = [v.name for v in model.variables]
-        if not names:
-            raise ValueError("model has no variables")
-        index = {name: i for i, name in enumerate(names)}
-        lower = np.array([float(v.lower) for v in model.variables])
-        upper = np.array([float(v.upper) for v in model.variables])
-        if not (np.all(np.isfinite(lower)) and np.all(np.isfinite(upper))):
-            raise ValueError("the solver requires finite variable bounds")
-        integral = np.array([v.is_integral for v in model.variables], dtype=bool)
-        sign = 1.0 if model.objective_sense == "max" else -1.0
-        terms = model.objective
-        obj_cols = np.fromiter((index[name] for name, _ in terms), np.intp, len(terms))
-        obj = np.zeros(len(names))
-        # `set_objective` admits each variable once, so no column repeats.
-        obj[obj_cols] += np.fromiter((float(coef) for _, coef in terms), float, len(terms))
-        rows = model.constraints
-        table = model.row_table()
-        data = table.coefs.astype(float)
-        bound = np.array([float(c.rhs) for c in rows])
-        self._set(
-            names,
-            lower,
-            upper,
-            integral,
-            sign,
-            sign * obj,
-            _objective_is_integral(model.objective, integral[obj_cols]),
-            _entries_where((table.indptr, table.indices, data), data != 0),
-            np.where([c.sense != "<=" for c in rows], bound, -np.inf),
-            np.where([c.sense != ">=" for c in rows], bound, np.inf),
-        )
+    lower: np.ndarray
+    upper: np.ndarray
+    integral: np.ndarray
+    sign: float
+    obj: np.ndarray
+    integral_objective: bool
+    rows: tuple
+    row_lower: np.ndarray
+    row_upper: np.ndarray
 
-    @classmethod
-    def from_arrays(cls, *arrays) -> "_StandardForm":
-        """The form with the given `names, lower, upper, integral, sign,
-        obj, integral_objective, rows, row_lower, row_upper`."""
-        sf = cls.__new__(cls)
-        sf._set(*arrays)
-        return sf
+    @property
+    def ncols(self) -> int:
+        return self.lower.size
 
-    def _set(
-        self,
-        names,
-        lower,
-        upper,
-        integral,
-        sign,
-        obj,
-        integral_objective,
-        rows,
-        row_lower,
-        row_upper,
-    ):
-        self.names = names
-        self.ncols = len(names)
-        self.lower = lower
-        self.upper = upper
-        self.integral = integral
-        self.sign = sign
-        self.obj = obj
-        self.integral_objective = integral_objective
-        self.rows = rows
-        self.nrows = rows[0].size - 1
-        self.row_lower = row_lower
-        self.row_upper = row_upper
-        self._prop = None
+    @property
+    def nrows(self) -> int:
+        return self.rows[0].size - 1
 
     def feasible_point(self, x: np.ndarray, tol: float) -> bool:
         acts = _matvec(self.rows, x)
@@ -213,33 +167,67 @@ class _StandardForm:
             np.any(acts > self.row_upper + tol) or np.any(acts < self.row_lower - tol)
         )
 
+    @cached_property
     def propagation_data(self):
         """The rows as `A @ x <= b` for `_propagate`: the rows bounded
         above, then the negated rows bounded below, each with its entries
         in term order, so a `>=` row is negated and an `=` row appears both
-        ways, with `b = [row_upper; -row_lower]` on the same rows. Returns
+        ways, with `b = [row_upper; -row_lower]` on the same rows. Holds
         `b`, the positive and the negative entries of `A` as plain CSR
         arrays `(indptr, indices, data)` of its shape, and `_by_column` of
         each. The rows are gathered and grouped by column with the kernels
         `scipy.sparse` itself uses for that."""
-        if self._prop is None:
-            above = np.flatnonzero(np.isfinite(self.row_upper))
-            below = np.flatnonzero(np.isfinite(self.row_lower))
-            picked = np.concatenate((above, below)).astype(np.int32)
-            b_ub = np.concatenate((self.row_upper[above], -self.row_lower[below]))
-            stacked = np.zeros(picked.size + 1, dtype=np.int32)
-            np.cumsum(np.diff(self.rows[0])[picked], out=stacked[1:])
-            indices = np.empty(stacked[-1], dtype=np.int32)
-            data = np.empty(stacked[-1])
-            _scipy_extension("sparse._sparsetools").csr_row_index(
-                picked.size, picked, *self.rows, indices, data
-            )
-            head = stacked[above.size]
-            data[head:] = -data[head:]
-            pos = _entries_where((stacked, indices, data), data > 0)
-            neg = _entries_where((stacked, indices, data), data < 0)
-            self._prop = (b_ub, pos, neg, _by_column(pos, self.ncols), _by_column(neg, self.ncols))
-        return self._prop
+        above = np.flatnonzero(np.isfinite(self.row_upper))
+        below = np.flatnonzero(np.isfinite(self.row_lower))
+        picked = np.concatenate((above, below)).astype(np.int32)
+        b_ub = np.concatenate((self.row_upper[above], -self.row_lower[below]))
+        stacked = np.zeros(picked.size + 1, dtype=np.int32)
+        np.cumsum(np.diff(self.rows[0])[picked], out=stacked[1:])
+        indices = np.empty(stacked[-1], dtype=np.int32)
+        data = np.empty(stacked[-1])
+        _scipy_extension("sparse._sparsetools").csr_row_index(
+            picked.size, picked, *self.rows, indices, data
+        )
+        head = stacked[above.size]
+        data[head:] = -data[head:]
+        pos = _entries_where((stacked, indices, data), data > 0)
+        neg = _entries_where((stacked, indices, data), data < 0)
+        return b_ub, pos, neg, _by_column(pos, self.ncols), _by_column(neg, self.ncols)
+
+
+def _standard_form(model: LinearProgram) -> _StandardForm:
+    """The standard form of `model`, its columns in the order of
+    `model.variables`."""
+    variables = model.variables
+    if not variables:
+        raise ValueError("model has no variables")
+    index = {v.name: i for i, v in enumerate(variables)}
+    lower = np.array([float(v.lower) for v in variables])
+    upper = np.array([float(v.upper) for v in variables])
+    if not (np.all(np.isfinite(lower)) and np.all(np.isfinite(upper))):
+        raise ValueError("the solver requires finite variable bounds")
+    integral = np.array([v.is_integral for v in variables], dtype=bool)
+    sign = 1.0 if model.objective_sense == "max" else -1.0
+    terms = model.objective
+    obj_cols = np.fromiter((index[name] for name, _ in terms), np.intp, len(terms))
+    obj = np.zeros(len(variables))
+    # `set_objective` admits each variable once, so no column repeats.
+    obj[obj_cols] += np.fromiter((float(coef) for _, coef in terms), float, len(terms))
+    rows = model.constraints
+    table = model.row_table()
+    data = table.coefs.astype(float)
+    bound = np.array([float(c.rhs) for c in rows])
+    return _StandardForm(
+        lower,
+        upper,
+        integral,
+        sign,
+        sign * obj,
+        _objective_is_integral(model.objective, integral[obj_cols]),
+        _entries_where((table.indptr, table.indices, data), data != 0),
+        np.where([c.sense != "<=" for c in rows], bound, -np.inf),
+        np.where([c.sense != ">=" for c in rows], bound, np.inf),
+    )
 
 
 def _entries_where(rows, keep):
@@ -291,7 +279,8 @@ def _by_column(rows, ncols):
 def _merge_columns(sf: _StandardForm):
     """`sf` with every class of equal integral columns searched as one
     count column, and the function that spreads a point of the merged form
-    back over the columns of `sf`; None when no two columns are equal.
+    back over the columns of `sf`: `sf` itself and the identity when no two
+    columns are equal.
 
     Two integral columns are equal when they have the same entries (row and
     value, in row order), objective coefficient and bounds. A class of c
@@ -305,7 +294,7 @@ def _merge_columns(sf: _StandardForm):
     """
     cand = np.flatnonzero(sf.integral)
     if cand.size < 2:
-        return None
+        return sf, lambda x: x
     colptr, row_of, values = _to_csc(sf.rows, sf.ncols)
     counts = np.diff(colptr)
     # Each entry's hash is the splitmix64 finalizer of its row and value
@@ -328,8 +317,6 @@ def _merge_columns(sf: _StandardForm):
     head = np.flatnonzero(np.concatenate(([True], ~same)))
     first = cols[np.repeat(head, np.diff(np.append(head, cols.size)))]
     members, first = cols[first != cols], first[first != cols]
-    if not members.size:
-        return None
     # The signature matched; compare the entries themselves. A column
     # whose entries differ from its group's first (a hash collision) is
     # left on its own.
@@ -341,7 +328,7 @@ def _merge_columns(sf: _StandardForm):
     owner = np.repeat(np.arange(members.size), sizes)
     equal = np.bincount(owner, weights=differs, minlength=members.size) == 0
     if not equal.any():
-        return None
+        return sf, lambda x: x
     rep = np.arange(sf.ncols)
     rep[members[equal]] = first[equal]
     kept = rep == np.arange(sf.ncols)
@@ -354,17 +341,13 @@ def _merge_columns(sf: _StandardForm):
     lower[grouped] = size[grouped] * low[kept][grouped]
     upper[grouped] = size[grouped] * high[kept][grouped]
     indptr, indices, data = _entries_where(sf.rows, kept[sf.rows[1]])
-    merged = _StandardForm.from_arrays(
-        [name for name, keep in zip(sf.names, kept) if keep],
-        lower,
-        upper,
-        sf.integral[kept],
-        sf.sign,
-        sf.obj[kept],
-        sf.integral_objective,
-        (indptr, column[indices].astype(np.int32), data),
-        sf.row_lower,
-        sf.row_upper,
+    merged = replace(
+        sf,
+        lower=lower,
+        upper=upper,
+        integral=sf.integral[kept],
+        obj=sf.obj[kept],
+        rows=(indptr, column[indices].astype(np.int32), data),
     )
     # The columns of merged classes, by class and then index, each with
     # its class's size, its place in the class and its width u - l.
@@ -412,7 +395,7 @@ def _propagate(sf: _StandardForm, lower, upper) -> bool:
         np.copyto(lower, low, where=integral & (low > lower))
         np.copyto(upper, high, where=integral & (high < upper))
         return not np.any(lower > upper + 1e-9)
-    b_ub, pos, neg, caps_above, caps_below = sf.propagation_data()
+    b_ub, pos, neg, caps_above, caps_below = sf.propagation_data
     if np.any(lower > upper + _TOL):
         return False
     for _ in range(50):
@@ -454,7 +437,9 @@ def _scipy_extension(name: str):
     `scipy` and of its subpackage, which import far more than the solver
     uses and dominate the start-up of a process that answers one small
     question. A later normal import finds the module in `sys.modules` and
-    reuses it.
+    reuses it, but binds it as no attribute of its package: after a solve,
+    `from scipy.sparse import _sparsetools` works and `import scipy.sparse;
+    scipy.sparse._sparsetools` raises AttributeError.
     """
     qualified = f"scipy.{name}"
     module = sys.modules.get(qualified)
@@ -542,11 +527,11 @@ def solve_lp_relaxation(model: LinearProgram) -> LpOutcome:
 
     Unboundedness cannot occur because all variables carry finite boxes.
     """
-    sf = _StandardForm(model)
+    sf = _standard_form(model)
     status, x, value = _lp_solver(sf)(sf.lower, sf.upper)
     if status != "optimal":
         return LpOutcome("infeasible", None, None)
-    point = {name: float(v) for name, v in zip(sf.names, x)}
+    point = {v.name: float(xj) for v, xj in zip(model.variables, x)}
     return LpOutcome("optimal", sf.sign * value, point)
 
 
@@ -577,8 +562,8 @@ def solve(model: LinearProgram, config: Optional[SolverConfig] = None) -> SolveR
     deterministic search rules."""
     config = config or SolverConfig()
     start = time.perf_counter()
-    original = _StandardForm(model)
-    sf, spread = _merge_columns(original) or (original, None)
+    original = _standard_form(model)
+    sf, spread = _merge_columns(original)
     lp = _lp_solver(sf)
     int_idx = np.nonzero(sf.integral)[0]
     integral_obj = sf.integral_objective
@@ -697,33 +682,26 @@ def solve(model: LinearProgram, config: Optional[SolverConfig] = None) -> SolveR
             heap, (-value, -depth, sequence, lower, upper, branch_var, branch_val)
         )
 
-    def out_of_time():
-        return config.time_limit is not None and time.perf_counter() - start > config.time_limit
-
-    def best_bound():
-        bound = incumbent_val
-        if heap:
-            bound = max(bound, -heap[0][0])
-        return bound
-
     def limit_bound():
         """The best bound of a limit stop, in the model's sense. For an
         integral objective no integral point beats floor(best + 1e-9), the
         slack `cutoff()` prunes with, so that is reported, as an int."""
+        best = max(incumbent_val, -heap[0][0]) if heap else incumbent_val
         if integral_obj:
-            return int(sf.sign) * math.floor(best_bound() + 1e-9)
-        return sf.sign * best_bound()
+            return int(sf.sign) * math.floor(best + 1e-9)
+        return sf.sign * best
 
     def finish(status):
         wall = time.perf_counter() - start
         if incumbent_vec is None:
             bound = None if status == "Infeasible" else limit_bound()
             return SolveResult(status, None, None, bound, nodes, wall)
-        point = incumbent_vec if spread is None else spread(incumbent_vec)
+        point = spread(incumbent_vec)
         values = np.empty(original.ncols, dtype=object)
         values[:] = point.tolist()
         values[original.integral] = np.rint(point[original.integral]).astype(np.int64).tolist()
-        assignment = Assignment(dict(zip(original.names, values.tolist())))
+        names = [v.name for v in model.variables]
+        assignment = Assignment(dict(zip(names, values.tolist())))
         report = check_assignment(
             model, assignment, FEASIBILITY_TOL, INTEGRALITY_TOL
         )
@@ -738,7 +716,7 @@ def solve(model: LinearProgram, config: Optional[SolverConfig] = None) -> SolveR
         return finish("Infeasible")
 
     while heap:
-        if out_of_time():
+        if config.time_limit is not None and time.perf_counter() - start > config.time_limit:
             return finish("TimeLimit")
         if config.node_limit is not None and nodes >= config.node_limit:
             return finish("NodeLimit")

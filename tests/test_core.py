@@ -39,6 +39,16 @@ class TestTypes:
         with pytest.raises(ValueError):
             StrictProfile(((1, 2), (2, 2)))
 
+    def test_strict_profile_rejects_no_candidates(self):
+        with pytest.raises(ValueError, match="at least one candidate"):
+            StrictProfile(((),))
+
+    @pytest.mark.parametrize("index", [0, -1, 4])
+    def test_candidate_name_rejects_unknown_index(self, index):
+        election = Election.from_rankings([(1, 2, 3)])
+        with pytest.raises(ValueError, match="out of range 1..3"):
+            election.candidate_name(index)
+
     def test_tied_profile_partition_check(self):
         with pytest.raises(ValueError):
             TiedProfile((((1, 2), (2,)),))

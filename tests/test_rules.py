@@ -166,6 +166,11 @@ class TestBucklin:
         with pytest.raises(ValueError):
             bucklin_rank_set(worked_profile, 1, 5)
 
+    @pytest.mark.parametrize("voter", [0, -1, 4])
+    def test_rank_set_rejects_unknown_voter(self, worked_profile, voter):
+        with pytest.raises(ValueError, match="out of range 1..3"):
+            bucklin_rank_set(worked_profile, voter, 2)
+
     def test_worked_profile_psi(self, worked_profile):
         assert [bucklin_psi(worked_profile, c) for c in range(1, 5)] == [1, 3, 2, 4]
 

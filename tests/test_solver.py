@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import random
 import subprocess
@@ -139,7 +140,7 @@ def test_propagation_golden(kind):
     rng = random.Random(f"boxes/{kind}")
     digest = hashlib.sha256()
     for model in propagation_programs(kind):
-        sf = solver_module._StandardForm(model)
+        sf = solver_module._standard_form(model)
         for lower, upper in sub_boxes(rng, sf, 5):
             feasible = solver_module._propagate(sf, lower, upper)
             digest.update(b"1" if feasible else b"0")
@@ -210,7 +211,7 @@ def test_rows_and_kernels_match_scipy_sparse():
     byte for byte what `scipy.sparse` computes from the same terms."""
     rng = np.random.default_rng(5)
     for model in differential_programs():
-        sf = solver_module._StandardForm(model)
+        sf = solver_module._standard_form(model)
         matrix = scipy_rows(model)
         indptr, indices, _ = sf.rows
         assert indptr.dtype == indices.dtype == np.int32
@@ -221,7 +222,7 @@ def test_rows_and_kernels_match_scipy_sparse():
             assert solver_module._matvec(sf.rows, x).tobytes() == want.tobytes()
             ok = not (np.any(want > sf.row_upper) or np.any(want < sf.row_lower))
             assert sf.feasible_point(x, 0.0) == ok
-        assert_same_arrays(sf.propagation_data(), scipy_propagation_data(sf, matrix))
+        assert_same_arrays(sf.propagation_data, scipy_propagation_data(sf, matrix))
 
 
 def duplicated_program(rng):
@@ -270,7 +271,8 @@ class TestMergedColumns:
         rng = random.Random(f"merge/{seed}")
         for _ in range(25):
             model = duplicated_program(rng)
-            assert solver_module._merge_columns(solver_module._StandardForm(model)) is not None
+            form = solver_module._standard_form(model)
+            assert solver_module._merge_columns(form)[0] is not form
             result = solve(model)
             assert (result.status, result.objective) == milp_optimum(model)
 
@@ -302,8 +304,12 @@ class TestMergedColumns:
         model.add_constraint([(x, 1) for x in b] + [("other", 1)], "<=", 4)
         model.add_constraint([("other", 1)], ">=", 5)
         model.add_constraint([("c0", 1), ("c1", 1)], "<=", 3)
-        merged, _ = solver_module._merge_columns(solver_module._StandardForm(model))
-        assert merged.names == ["a0", "c0", "c1", "b0", "other", "d0", "d1", "d2", "d3"]
+        merged, _ = solver_module._merge_columns(solver_module._standard_form(model))
+        # The columns left are a0, c0, c1, b0, other, d0, d1, d2 and d3.
+        assert merged.obj.tolist() == [1, 0, 0, 1, 1, 0, 0, 0, 2]
+        assert merged.integral.tolist() == [True, False, False, True, True, True, True, True, True]
+        indptr, indices, _ = merged.rows
+        assert (indptr.tolist(), indices.tolist()) == ([0, 1, 3, 4, 6], [0, 3, 4, 4, 1, 2])
         assert merged.lower.tolist() == [0, 0, 0, -6, 0, 0, 0, -1, 0]
         assert merged.upper.tolist() == [4, 2, 2, 9, 5, 2, 2, 1, 1]
         result = solve(model)
@@ -358,13 +364,51 @@ UNMERGED_GOLDEN = "f8b89b0aca881bb48d782a07f83758884146b7e2c39f5c5c38e9e77db2198
 def unmerged_digest():
     digest = hashlib.sha256()
     for model in propagation_programs("mixed"):
-        assert solver_module._merge_columns(solver_module._StandardForm(model)) is None
+        form = solver_module._standard_form(model)
+        assert solver_module._merge_columns(form)[0] is form
         digest.update(canonical_result(solve(model)).encode() + b"\n")
     return digest.hexdigest()
 
 
 def test_no_duplicate_columns_search_unchanged():
     assert unmerged_digest() == UNMERGED_GOLDEN
+
+
+def form_bytes(form):
+    """The bytes of every field of `form`, each row array included."""
+    values = [getattr(form, field.name) for field in dataclasses.fields(form)]
+    flat = [a for v in values for a in (v if isinstance(v, tuple) else (v,))]
+    return [np.asarray(a).tobytes() for a in flat]
+
+
+@pytest.mark.parametrize("merges", [True, False])
+def test_search_never_writes_into_a_form(monkeypatch, merges):
+    # A merged form shares its row bounds with the form it comes from, and
+    # the arrays of a frozen form are still writable: every form a solve
+    # builds must hold the same bytes after the search.
+    build, merge = solver_module._standard_form, solver_module._merge_columns
+    forms = []
+
+    def recorded(form):
+        forms.append((form, form_bytes(form)))
+        return form
+
+    def merged(form):
+        form, spread = merge(form)
+        return recorded(form), spread
+
+    monkeypatch.setattr(solver_module, "_standard_form", lambda model: recorded(build(model)))
+    monkeypatch.setattr(solver_module, "_merge_columns", merged)
+    if merges:
+        rng = random.Random("merge/0")
+        model = [duplicated_program(rng) for _ in range(6)][-1]
+    else:
+        model = list(propagation_programs("mixed"))[35]
+    result = solve(model)
+    assert result.status == "Optimal" and result.nodes_explored > 1
+    assert len(forms) == 2 and (forms[0][0] is forms[1][0]) != merges
+    for form, snapshot in forms:
+        assert form_bytes(form) == snapshot
 
 
 class TestLpRelaxation:
