@@ -3,9 +3,10 @@
 Models are built single-threaded through the LinearProgram methods and
 treated as immutable afterwards. Coefficients, bounds, and right-hand
 sides are plain Python numbers; encoders only produce integers, so
-feasibility checks on rounded assignments are exact. A model compiles its
-rows once into a `RowTable` of CSR arrays (`LinearProgram.row_table`),
-which the solver's standard form and `check_assignment` both read.
+feasibility checks on rounded assignments are exact. A call that raises
+leaves the model unchanged. A model stores its rows once, by column,
+which the solver, `check_assignment` and the exporters read; its
+`row_table` compiles them into CSR arrays, and `constraints` is a view.
 
 Text formats: a five-section LP dialect (Maximize/Minimize, Subject To,
 Bounds, Binaries, Generals, End) that `parse_lp` reads back losslessly
@@ -20,7 +21,6 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
-from operator import itemgetter
 from typing import Mapping, Optional, Sequence, Union
 
 import numpy as np
@@ -54,6 +54,15 @@ class Variable:
         return self.kind in (BINARY, INTEGER)
 
 
+def _violation(lhs: Number, sense: str, rhs: Number) -> Number:
+    """How far `lhs sense rhs` is from holding; <= 0 means it holds."""
+    if sense == "<=":
+        return lhs - rhs
+    if sense == ">=":
+        return rhs - lhs
+    return abs(lhs - rhs)
+
+
 @dataclass(frozen=True)
 class LinearConstraint:
     terms: tuple[tuple[str, Number], ...]
@@ -73,12 +82,7 @@ class LinearConstraint:
 
     def violation(self, values: Mapping[str, Number]) -> Number:
         """How far the constraint is from holding; <= 0 means satisfied."""
-        lhs = self.lhs_value(values)
-        if self.sense == "<=":
-            return lhs - self.rhs
-        if self.sense == ">=":
-            return self.rhs - lhs
-        return abs(lhs - self.rhs)
+        return _violation(self.lhs_value(values), self.sense, self.rhs)
 
     def satisfied(self, values: Mapping[str, Number], tol: Number = 0) -> bool:
         return self.violation(values) <= tol
@@ -96,10 +100,11 @@ class Assignment:
 
 @dataclass(frozen=True)
 class RowTable:
-    """The constraint terms of a model as CSR arrays, in constraint order
-    and each row's terms in their order: row i holds the columns
-    `indices[indptr[i]:indptr[i + 1]]` (the variables' declaration
-    indices) with the coefficients `coefs` over the same range. `indptr`
+    """The terms of a model's rows, compiled from its row store into CSR
+    arrays, in insertion order and each row's terms in their order: row i
+    holds the columns `indices[indptr[i]:indptr[i + 1]]` (the variables'
+    declaration indices) with the coefficients `coefs` over the same
+    range. `indptr`
     and `indices` are int32. `coefs` is int64 when every coefficient is a
     plain `int` (not a `bool`) that fits, and otherwise float64, each
     entry `float(coef)`."""
@@ -108,28 +113,6 @@ class RowTable:
     indices: np.ndarray
     coefs: np.ndarray
 
-    @property
-    def exact(self) -> bool:
-        """Whether `coefs` holds the coefficients themselves, as int64."""
-        return self.coefs.dtype == np.int64
-
-
-def _row_table(constraints, index) -> RowTable:
-    """The `RowTable` of `constraints`, with `index` mapping each variable
-    name to its column, built in one pass over the flattened terms."""
-    terms = list(chain.from_iterable(c.terms for c in constraints))
-    indptr = np.zeros(len(constraints) + 1, dtype=np.int32)
-    sizes = np.fromiter(map(len, (c.terms for c in constraints)), np.int32, len(constraints))
-    np.cumsum(sizes, out=indptr[1:])
-    indices = np.fromiter(map(index.__getitem__, map(itemgetter(0), terms)), np.int32, len(terms))
-    coefs = list(map(itemgetter(1), terms))
-    if set(map(type, coefs)) <= {int}:
-        try:
-            return RowTable(indptr, indices, np.array(coefs, dtype=np.int64))
-        except OverflowError:
-            pass
-    return RowTable(indptr, indices, np.fromiter(coefs, float, len(coefs)))
-
 
 class LinearProgram:
     """Variables with bounds and integrality, linear constraints, objective."""
@@ -137,37 +120,83 @@ class LinearProgram:
     def __init__(self, name: str = "model"):
         self.name = name
         self.variables: list[Variable] = []
-        self.constraints: list[LinearConstraint] = []
         self.objective_sense = "max"
         self.objective: tuple[tuple[str, Number], ...] = ()
         self._index: dict[str, int] = {}
+        # The rows, in insertion order: each term's column and coefficient
+        # as given, and each row's end offset into those, sense, rhs and tag.
+        self._cols: list[int] = []
+        self._coefs: list[Number] = []
+        self._ends: list[int] = []
+        self._senses: list[str] = []
+        self._rhs: list[Number] = []
+        self._tags: list[str] = []
         self._rows: Optional[RowTable] = None
 
     def add_variable(self, name, kind=CONTINUOUS, lower=0, upper=1) -> str:
         if name in self._index:
             raise ValueError(f"variable {name!r} already declared")
+        var = Variable(name, kind, lower, upper)
         self._index[name] = len(self.variables)
-        self.variables.append(Variable(name, kind, lower, upper))
+        self.variables.append(var)
         self._rows = None
         return name
 
     def variable(self, name: str) -> Variable:
         return self.variables[self._index[name]]
 
-    def add_constraint(self, terms, sense, rhs, tag="") -> LinearConstraint:
-        constraint = LinearConstraint(tuple(terms), sense, rhs, tag)
-        for name, _ in constraint.terms:
-            if name not in self._index:
-                raise ValueError(f"constraint {tag!r} references undeclared variable {name!r}")
-        self.constraints.append(constraint)
+    def add_constraint(self, terms, sense, rhs, tag="") -> None:
+        if sense not in SENSES:
+            raise ValueError(f"unknown constraint sense {sense!r}")
+        terms = tuple(terms)
+        index = self._index
+        try:
+            cols = [index[name] for name, _ in terms]
+        except KeyError as missing:
+            message = f"constraint {tag!r} references undeclared variable {missing.args[0]!r}"
+            raise ValueError(message) from None
+        if len(set(cols)) != len(cols):
+            raise ValueError(f"duplicate variable in constraint {tag or terms}")
+        self._cols += cols
+        self._coefs += [coef for _, coef in terms]
+        self._ends.append(len(self._cols))
+        self._senses.append(sense)
+        self._rhs.append(rhs)
+        self._tags.append(tag)
         self._rows = None
-        return constraint
+
+    def _row_items(self):
+        """Each row as (columns, coefficients, sense, rhs, tag)."""
+        cols, coefs, ends = self._cols, self._coefs, self._ends
+        for start, end, *row in zip([0, *ends], ends, self._senses, self._rhs, self._tags):
+            yield (cols[start:end], coefs[start:end], *row)
+
+    @property
+    def constraints(self) -> tuple[LinearConstraint, ...]:
+        """The rows as `LinearConstraint`s, rebuilt from the store on each read."""
+        names = [var.name for var in self.variables]
+        return tuple(
+            LinearConstraint(tuple(zip(map(names.__getitem__, cols), coefs)), sense, rhs, tag)
+            for cols, coefs, sense, rhs, tag in self._row_items()
+        )
 
     def row_table(self) -> RowTable:
-        """The rows as a `RowTable`, built on the first call and kept until
-        `add_variable` or `add_constraint` changes the model."""
+        """The rows as a `RowTable`, built from the store on the first call
+        and kept until `add_variable` or `add_constraint` changes the
+        model."""
         if self._rows is None:
-            self._rows = _row_table(self.constraints, self._index)
+            indptr = np.array([0, *self._ends], dtype=np.int32)
+            indices = np.array(self._cols, dtype=np.int32)
+            coefs = self._coefs
+            data = None
+            if set(map(type, coefs)) <= {int}:
+                try:
+                    data = np.array(coefs, dtype=np.int64)
+                except OverflowError:
+                    pass
+            if data is None:
+                data = np.fromiter(coefs, float, len(coefs))
+            self._rows = RowTable(indptr, indices, data)
         return self._rows
 
     def set_objective(self, sense, terms):
@@ -211,43 +240,34 @@ def add_alternative_block(
     variable box; an explicit big_m is validated against that bound.
     Returns the indicator names.
     """
-    groups = []
-    for alt in alternatives:
-        if isinstance(alt, LinearConstraint):
-            groups.append([alt])
-        else:
-            group = list(alt)
-            if not group:
-                raise ValueError("empty alternative group")
-            groups.append(group)
+    groups = [[alt] if isinstance(alt, LinearConstraint) else list(alt) for alt in alternatives]
     if not groups:
         raise ValueError("alternative block needs at least one alternative")
-    for group in groups:
-        for constraint in group:
-            if constraint.sense != "<=":
-                raise ValueError("alternatives must be <=-sense constraints")
+    if not all(groups):
+        raise ValueError("empty alternative group")
+    if any(constraint.sense != "<=" for group in groups for constraint in group):
+        raise ValueError("alternatives must be <=-sense constraints")
     if len(names) != len(groups):
         raise ValueError("one indicator name per alternative required")
     indicator_names = list(names)
-    for name in indicator_names:
-        model.add_variable(name, BINARY)
+    if len(set(indicator_names).difference(model._index)) != len(indicator_names):
+        raise ValueError(f"indicator names must be distinct and new: {indicator_names}")
+    rows = []
     for y, group in zip(indicator_names, groups):
         for constraint in group:
             needed = model.expression_box_max(constraint.terms) - constraint.rhs
-            m_value = needed if big_m is None else big_m
-            if m_value < needed:
+            if big_m is not None and big_m < needed:
                 raise ValueError(
-                    f"big-M {m_value} too small for alternative {constraint.tag!r} "
+                    f"big-M {big_m} too small for alternative {constraint.tag!r} "
                     f"(needs at least {needed})"
                 )
-            if m_value < 0:
-                m_value = 0
-            model.add_constraint(
-                constraint.terms + ((y, m_value),),
-                "<=",
-                constraint.rhs + m_value,
-                tag=constraint.tag,
-            )
+            m_value = max(needed if big_m is None else big_m, 0)
+            terms = constraint.terms + ((y, m_value),)
+            rows.append((terms, constraint.rhs + m_value, constraint.tag))
+    for name in indicator_names:
+        model.add_variable(name, BINARY)
+    for terms, rhs, tag in rows:
+        model.add_constraint(terms, "<=", rhs, tag)
     model.add_constraint(tuple((y, 1) for y in indicator_names), ">=", 1, tag=pick_tag)
     return indicator_names
 
@@ -296,15 +316,15 @@ def check_assignment(
 def _check_python(model, values, feas_tol, int_tol):
     """The violations, integrality and bounds lists of `check_assignment`,
     computed term by term in Python numbers."""
+    point = [values[var.name] for var in model.variables]
     violations = []
-    for idx, constraint in enumerate(model.constraints):
-        amount = constraint.violation(values)
+    for idx, (cols, coefs, sense, rhs, tag) in enumerate(model._row_items()):
+        amount = _violation(sum(coef * point[j] for j, coef in zip(cols, coefs)), sense, rhs)
         if amount > feas_tol:
-            violations.append((idx, constraint.tag, amount))
+            violations.append((idx, tag, amount))
     integrality = []
     bounds = []
-    for var in model.variables:
-        value = values[var.name]
+    for var, value in zip(model.variables, point):
         if var.is_integral and abs(value - round(value)) > int_tol:
             integrality.append((var.name, value))
         if max(var.lower - value, value - var.upper) > feas_tol:
@@ -319,14 +339,13 @@ def _check_int64(model, values, feas_tol, int_tol):
     then have no integrality violation), and |coef|·|value|·(row length)
     bounds every row sum below 2**63."""
     table = model.row_table()
-    if not table.exact or not 0 <= int_tol or not math.isfinite(feas_tol):
+    if table.coefs.dtype != np.int64 or not 0 <= int_tol or not math.isfinite(feas_tol):
         return None
-    variables, constraints = model.variables, model.constraints
+    variables = model.variables
     point = [values[var.name] for var in variables]
     lower = [var.lower for var in variables]
     upper = [var.upper for var in variables]
-    rhs = [c.rhs for c in constraints]
-    numbers = (point, lower, upper, rhs)
+    numbers = (point, lower, upper, model._rhs)
     if not set(map(type, chain(*numbers))) <= {int}:
         return None
     big = max(map(abs, chain(*numbers)), default=0)
@@ -341,14 +360,14 @@ def _check_int64(model, values, feas_tol, int_tol):
     prefix = np.zeros(table.coefs.size + 1, dtype=np.uint64)
     np.cumsum((table.coefs * x[table.indices]).view(np.uint64), out=prefix[1:])
     lhs = (prefix[table.indptr[1:]] - prefix[table.indptr[:-1]]).view(np.int64)
-    sense = np.array([c.sense for c in constraints], dtype="<U2")
+    sense = np.array(model._senses, dtype="<U2")
     diff = lhs - rhs
     amount = np.select([sense == "<=", sense == ">="], [diff, -diff], np.abs(diff))
     # An integer exceeds feas_tol exactly when it exceeds floor(feas_tol);
     # the threshold is clamped into int64, beyond which no amount lies.
     threshold = min(max(math.floor(feas_tol), -(2**63)), 2**63 - 1)
     rows = np.flatnonzero(amount > threshold).tolist()
-    violations = [(i, constraints[i].tag, a) for i, a in zip(rows, amount[rows].tolist())]
+    violations = [(i, model._tags[i], a) for i, a in zip(rows, amount[rows].tolist())]
     outside = np.flatnonzero(np.maximum(lower - x, x - upper) > threshold).tolist()
     bounds = [(variables[j].name, point[j]) for j in outside]
     return violations, [], bounds
@@ -365,13 +384,14 @@ def sanitize_name(name: str) -> str:
     return clean
 
 
-def _sanitized_names(model: LinearProgram) -> dict[str, str]:
-    """The exported name of each variable, worked out once per export call.
+def _sanitized_names(model: LinearProgram) -> list[str]:
+    """The exported name of each variable, by column, worked out once per
+    export call.
 
     A name that is already a valid token is kept as it is, which is what
     `sanitize_name` would return for it; only other names go through
     `sanitize_name`. Two variables that end up with one name are an error."""
-    mapping = {}
+    names = []
     seen = set()
     for var in model.variables:
         name = var.name
@@ -379,8 +399,8 @@ def _sanitized_names(model: LinearProgram) -> dict[str, str]:
         if clean in seen:
             raise ValueError(f"variable name collision after sanitization: {clean!r}")
         seen.add(clean)
-        mapping[name] = clean
-    return mapping
+        names.append(clean)
+    return names
 
 
 def format_number(x: Number) -> str:
@@ -408,13 +428,14 @@ class _NumberText(dict):
         return text
 
 
-def _format_terms(terms, names, numbers) -> str:
-    if not terms:
+def _format_terms(cols, coefs, names, numbers) -> str:
+    """LP text of the terms `coefs[k]` times the column `cols[k]`."""
+    if not cols:
         return "0 ZERO_TERMS"
     text = " ".join(
         [
-            f"- {numbers[-coef]} {names[name]}" if coef < 0 else f"+ {numbers[coef]} {names[name]}"
-            for name, coef in terms
+            f"- {numbers[-coef]} {names[j]}" if coef < 0 else f"+ {numbers[coef]} {names[j]}"
+            for j, coef in zip(cols, coefs)
         ]
     )
     return text[2:] if text[0] == "+" else text
@@ -428,32 +449,25 @@ def export_lp(model: LinearProgram) -> str:
     tests/test_model_golden.py and tests/test_ilp.py pin."""
     names = _sanitized_names(model)
     numbers = _NumberText()
+    obj_cols = [model._index[name] for name, _ in model.objective]
+    obj_coefs = [coef for _, coef in model.objective]
     lines = [f"\\ Problem: {model.name}"]
     lines.append("Maximize" if model.objective_sense == "max" else "Minimize")
-    lines.append(f" obj: {_format_terms(model.objective, names, numbers)}")
+    lines.append(f" obj: {_format_terms(obj_cols, obj_coefs, names, numbers)}")
     lines.append("Subject To")
-    for idx, constraint in enumerate(model.constraints, start=1):
-        if constraint.tag:
-            lines.append(f"\\ tag: {constraint.tag}")
-        lines.append(
-            f" r{idx}: {_format_terms(constraint.terms, names, numbers)} "
-            f"{constraint.sense} {numbers[constraint.rhs]}"
-        )
+    for idx, (cols, coefs, sense, rhs, tag) in enumerate(model._row_items(), start=1):
+        if tag:
+            lines.append(f"\\ tag: {tag}")
+        terms = _format_terms(cols, coefs, names, numbers)
+        lines.append(f" r{idx}: {terms} {sense} {numbers[rhs]}")
     lines.append("Bounds")
-    for var in model.variables:
-        if var.kind == BINARY:
-            continue
-        lines.append(f" {numbers[var.lower]} <= {names[var.name]} <= {numbers[var.upper]}")
-    binaries = [names[v.name] for v in model.variables if v.kind == BINARY]
-    if binaries:
-        lines.append("Binaries")
-        for name in binaries:
-            lines.append(f" {name}")
-    generals = [names[v.name] for v in model.variables if v.kind == INTEGER]
-    if generals:
-        lines.append("Generals")
-        for name in generals:
-            lines.append(f" {name}")
+    for var, name in zip(model.variables, names):
+        if var.kind != BINARY:
+            lines.append(f" {numbers[var.lower]} <= {name} <= {numbers[var.upper]}")
+    for section, kind in (("Binaries", BINARY), ("Generals", INTEGER)):
+        listed = [f" {name}" for var, name in zip(model.variables, names) if var.kind == kind]
+        if listed:
+            lines += [section, *listed]
     lines.append("End")
     return "\n".join(lines) + "\n"
 
@@ -550,22 +564,11 @@ def parse_lp(text: str) -> LinearProgram:
             binaries.update(line.split())
         elif section == "generals":
             generals.update(line.split())
-    declared = []
-    seen = set()
-    for name, _ in objective_terms:
-        if name not in seen:
-            seen.add(name)
-            declared.append(name)
-    for terms, _, _, _ in rows:
-        for name, _ in terms:
-            if name not in seen:
-                seen.add(name)
-                declared.append(name)
-    for name in list(bounds) + sorted(binaries) + sorted(generals):
-        if name not in seen:
-            seen.add(name)
-            declared.append(name)
-    for name in declared:
+    # Each name is declared where it first appears: in the objective, the
+    # rows, then the Bounds, Binaries and Generals sections.
+    names = [name for name, _ in objective_terms]
+    names += [name for terms, *_ in rows for name, _ in terms]
+    for name in dict.fromkeys(names + list(bounds) + sorted(binaries) + sorted(generals)):
         if name in binaries:
             model.add_variable(name, BINARY)
         else:
@@ -597,18 +600,16 @@ def export_mps(model: LinearProgram) -> str:
     lines.append(f"    {'MAX' if model.objective_sense == 'max' else 'MIN'}")
     lines.append("ROWS")
     lines.append(" N  COST")
-    row_fields = []
-    for idx, constraint in enumerate(model.constraints, start=1):
-        row = f"r{idx}"
-        row_fields.append(f"{row:<9} ")
-        lines.append(f" {_MPS_SENSE[constraint.sense]}  {row}")
+    rows = [f"r{idx}" for idx in range(1, len(model._senses) + 1)]
+    lines += [f" {_MPS_SENSE[sense]}  {row}" for sense, row in zip(model._senses, rows)]
+    row_fields = [f"{row:<9} " for row in rows]
     # Each column's entries as finished "<row:9> <coef>" text.
-    entries: dict[str, list[str]] = {v.name: [] for v in model.variables}
+    entries: list[list[str]] = [[] for _ in model.variables]
     for name, coef in model.objective:
-        entries[name].append(f"COST      {numbers[coef]}")
-    for field, constraint in zip(row_fields, model.constraints):
-        for name, coef in constraint.terms:
-            entries[name].append(field + numbers[coef])
+        entries[model._index[name]].append(f"COST      {numbers[coef]}")
+    for field, (cols, coefs, *_) in zip(row_fields, model._row_items()):
+        for j, coef in zip(cols, coefs):
+            entries[j].append(field + numbers[coef])
     lines.append("COLUMNS")
     in_integer_block = False
     marker_count = 0
@@ -618,12 +619,11 @@ def export_mps(model: LinearProgram) -> str:
         marker_count += 1
         return f"    MARKER{marker_count:04d}  'MARKER'                 '{kind}'"
 
-    for var in model.variables:
+    for var, name, column in zip(model.variables, names, entries):
         if var.is_integral != in_integer_block:
             in_integer_block = var.is_integral
             lines.append(marker("INTORG" if in_integer_block else "INTEND"))
-        head = f"    {names[var.name]:<9} "
-        column = entries[var.name]
+        head = f"    {name:<9} "
         if column:
             lines.extend([head + entry for entry in column])
         else:
@@ -631,12 +631,11 @@ def export_mps(model: LinearProgram) -> str:
     if in_integer_block:
         lines.append(marker("INTEND"))
     lines.append("RHS")
-    for field, constraint in zip(row_fields, model.constraints):
-        if constraint.rhs != 0:
-            lines.append(f"    RHS       {field}{numbers[constraint.rhs]}")
+    for field, rhs in zip(row_fields, model._rhs):
+        if rhs != 0:
+            lines.append(f"    RHS       {field}{numbers[rhs]}")
     lines.append("BOUNDS")
-    for var in model.variables:
-        column = names[var.name]
+    for var, column in zip(model.variables, names):
         if var.kind == BINARY:
             lines.append(f" BV BND       {column}")
         elif var.kind == INTEGER:

@@ -3,7 +3,8 @@
 Every LP relaxation of one `solve()` goes to a single HiGHS instance: the
 model is passed once, and each node, dive step and probe only changes the
 column bounds and re-runs the dual simplex from the previous basis. The
-rows are plain numpy CSR arrays, read from the model's `RowTable`. Two of
+rows are plain numpy CSR arrays: the terms come from the model's
+`RowTable`, the senses and right-hand sides from its row store. Two of
 scipy's compiled extensions do the work: the HiGHS binding
 `scipy.optimize._highspy._core` (scipy 1.15 and later) and the sparse
 kernels of `scipy.sparse._sparsetools`. Both are loaded straight from
@@ -201,7 +202,6 @@ def _standard_form(model: LinearProgram) -> _StandardForm:
     variables = model.variables
     if not variables:
         raise ValueError("model has no variables")
-    index = {v.name: i for i, v in enumerate(variables)}
     lower = np.array([float(v.lower) for v in variables])
     upper = np.array([float(v.upper) for v in variables])
     if not (np.all(np.isfinite(lower)) and np.all(np.isfinite(upper))):
@@ -209,14 +209,14 @@ def _standard_form(model: LinearProgram) -> _StandardForm:
     integral = np.array([v.is_integral for v in variables], dtype=bool)
     sign = 1.0 if model.objective_sense == "max" else -1.0
     terms = model.objective
-    obj_cols = np.fromiter((index[name] for name, _ in terms), np.intp, len(terms))
+    obj_cols = np.fromiter((model._index[name] for name, _ in terms), np.intp, len(terms))
     obj = np.zeros(len(variables))
     # `set_objective` admits each variable once, so no column repeats.
     obj[obj_cols] += np.fromiter((float(coef) for _, coef in terms), float, len(terms))
-    rows = model.constraints
     table = model.row_table()
     data = table.coefs.astype(float)
-    bound = np.array([float(c.rhs) for c in rows])
+    bound = np.array(model._rhs, dtype=float)
+    senses = np.array(model._senses, dtype="<U2")
     return _StandardForm(
         lower,
         upper,
@@ -225,8 +225,8 @@ def _standard_form(model: LinearProgram) -> _StandardForm:
         sign * obj,
         _objective_is_integral(model.objective, integral[obj_cols]),
         _entries_where((table.indptr, table.indices, data), data != 0),
-        np.where([c.sense != "<=" for c in rows], bound, -np.inf),
-        np.where([c.sense != ">=" for c in rows], bound, np.inf),
+        np.where(senses != "<=", bound, -np.inf),
+        np.where(senses != ">=", bound, np.inf),
     )
 
 

@@ -275,6 +275,78 @@ def test_solve_after_a_cut_sees_the_new_row():
     assert second.incumbent.values == {"x0": 2, "x1": 3, "x2": 0}
 
 
+def test_rejected_variable_is_not_declared():
+    model = LinearProgram("aliasing")
+    with pytest.raises(ValueError):
+        model.add_variable("ghost", "binary", 0, 2)
+    model.add_variable("x", "binary")
+    model.set_objective("max", [("x", 1)])
+    with pytest.raises(ValueError, match="undeclared variable 'ghost'"):
+        model.add_constraint([("ghost", 1)], "<=", 0)
+    assert [v.name for v in model.variables] == ["x"]
+    assert "ghost" not in export_lp(model)
+    result = solve(model)
+    assert (result.status, result.objective) == ("Optimal", 1)
+
+
+def rejection_model():
+    model = LinearProgram("rejections")
+    model.add_variable("x", "binary")
+    model.add_variable("z", "integer", 0, 3)
+    model.set_objective("max", [("x", 2), ("z", 1)])
+    model.add_constraint([("x", 1), ("z", 1)], "<=", 3, "cap")
+    model.add_constraint([("z", 1)], ">=", 1, "floor")
+    return model
+
+
+def block(names, big_m=None, second=(("x", 1), ("z", 5)), sense="<="):
+    """An alternative block call whose second alternative is `second`."""
+    alternatives = [
+        LinearConstraint((("x", 1),), "<=", 0, "a1"),
+        LinearConstraint(second, sense, 0, "a2"),
+    ]
+    return lambda model: add_alternative_block(model, alternatives, names, "pick", big_m)
+
+
+REJECTED = {
+    "variable-taken": (lambda model: model.add_variable("x", "binary"), ValueError),
+    "variable-binary-bounds": (lambda model: model.add_variable("w", "binary", 0, 2), ValueError),
+    "variable-kind": (lambda model: model.add_variable("w", "boolean"), ValueError),
+    "variable-crossed-bounds": (lambda model: model.add_variable("w", "integer", 3, 1), ValueError),
+    "constraint-undeclared": (
+        lambda model: model.add_constraint([("x", 1), ("ghost", 1)], "<=", 1),
+        ValueError,
+    ),
+    "constraint-duplicate": (
+        lambda model: model.add_constraint([("x", 1), ("z", 1), ("x", 2)], "<=", 1),
+        ValueError,
+    ),
+    "constraint-sense": (lambda model: model.add_constraint([("x", 1)], "<", 1), ValueError),
+    "block-big-m": (block(["y1", "y2"], big_m=1), ValueError),
+    "block-taken-name": (block(["y1", "z"]), ValueError),
+    "block-repeated-name": (block(["y1", "y1"]), ValueError),
+    "block-name-count": (block(["y1"]), ValueError),
+    "block-sense": (block(["y1", "y2"], sense=">="), ValueError),
+    "block-undeclared": (block(["y1", "y2"], second=(("ghost", 1),)), KeyError),
+}
+
+
+def model_state(model):
+    table = model.row_table()
+    arrays = [(a.dtype, a.tolist()) for a in (table.indptr, table.indices, table.coefs)]
+    return list(model.variables), model.constraints, arrays, export_lp(model)
+
+
+@pytest.mark.parametrize("case", sorted(REJECTED))
+def test_rejected_call_leaves_the_model_unchanged(case):
+    call, error = REJECTED[case]
+    model = rejection_model()
+    before = model_state(model)
+    with pytest.raises(error):
+        call(model)
+    assert model_state(model) == before
+
+
 class TestLpFormat:
     def test_canonical_sections(self):
         text = export_lp(tiny_model())
