@@ -43,6 +43,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Optional
 
+import numpy as np
+
 from .core import MODES, Election, ControlSpec, ScoreMatrix, StrictProfile, swap_index
 from .ilp import (
     Assignment,
@@ -398,6 +400,50 @@ def encode_bev(profile: StrictProfile, mode: str = "constructive") -> EncodedPro
     return EncodedProblem(model, xs)
 
 
+def _bucklin_points_rows(model, profile) -> None:
+    """Add, per voter j, candidate i and level l in that order, the rows
+
+        better + (m + 1)·y_{j}_{i}_{l} <= m + l          (bec:points-cap)
+        better + m·y_{j}_{i}_{l} − m·x_i >= l − m          (bec:points-forced)
+
+    where `better` sums x_k, in index order, over the candidates k voter j
+    ranks above i: as many as i's 0-based place. The x are the model's
+    first m columns and the y the next n·m² in (j, i, l) order; all
+    2·n·m² rows go in as one `add_rows` block."""
+    m, n = profile.m, profile.n
+    place = np.array(profile.positions)
+    lengths = np.repeat(place.reshape(-1), 2 * m) + np.tile([1, 2], n * m * m)
+    indptr = np.concatenate([[0], np.cumsum(lengths)])
+    # int32 columns, as the row table holds them.
+    cols = np.empty(indptr[-1], dtype=np.int32)
+    start, y = 0, m
+    for j in range(n):
+        for i in range(m):
+            # The 2·m rows of (j, i), one level per line: [better, y, better, y, x_i].
+            c = place[j, i]
+            rows = cols[start : start + m * (2 * c + 3)].reshape(m, 2 * c + 3)
+            rows[:, :c] = rows[:, c + 1 : 2 * c + 1] = np.flatnonzero(place[j] < c)
+            rows[:, c] = rows[:, 2 * c + 1] = np.arange(y, y + m)
+            rows[:, 2 * c + 2] = i
+            start += rows.size
+            y += m
+    cap_ends, forced_ends = indptr[1::2], indptr[2::2]
+    coefs = np.ones(cols.size, dtype=np.int32)
+    coefs[cap_ends - 1] = m + 1
+    coefs[forced_ends - 2] = m
+    coefs[forced_ends - 1] = -m
+    levels = np.arange(1, m + 1)
+    rhs = np.tile(np.column_stack([m + levels, levels - m]).reshape(-1), n * m)
+    tags = [
+        f"bec:points-{kind}:v{j}:c{i}:l{l}"
+        for j in range(1, n + 1)
+        for i in range(1, m + 1)
+        for l in range(1, m + 1)
+        for kind in ("cap", "forced")
+    ]
+    model.add_rows(indptr, cols, coefs, ["<=", ">="] * (n * m * m), rhs, tags)
+
+
 def encode_bec(profile: StrictProfile, mode: str = "constructive") -> EncodedProblem:
     """Bucklin control by deleting candidates; same winner logic as the
     voter variant, with y_{j}_{i}_{l} deriving per-voter scores from the
@@ -418,22 +464,7 @@ def encode_bec(profile: StrictProfile, mode: str = "constructive") -> EncodedPro
         for l in range(1, m + 1)
     }
     model.add_constraint(((xs[0], 1),), "=", 1, tag="bec:target-kept")
-    for j, place in enumerate(profile.positions, start=1):
-        for i in range(1, m + 1):
-            better = _ranked_above(xs, place, i)
-            for l in range(1, m + 1):
-                model.add_constraint(
-                    better + ((y[j, i, l], m + 1),),
-                    "<=",
-                    m + l,
-                    tag=f"bec:points-cap:v{j}:c{i}:l{l}",
-                )
-                model.add_constraint(
-                    better + ((y[j, i, l], m), (xs[i - 1], -m)),
-                    ">=",
-                    l - m,
-                    tag=f"bec:points-forced:v{j}:c{i}:l{l}",
-                )
+    _bucklin_points_rows(model, profile)
     for i in range(2, m + 1):
         terms = tuple(
             (y[j, i, l], 1) for j in range(1, n + 1) for l in range(1, m + 1)

@@ -5,13 +5,17 @@ treated as immutable afterwards. Coefficients, bounds, and right-hand
 sides are plain Python numbers; encoders only produce integers, so
 feasibility checks on rounded assignments are exact. A call that raises
 leaves the model unchanged. A model stores its rows once, by column,
-which the solver, `check_assignment` and the exporters read; its
-`row_table` compiles them into CSR arrays, and `constraints` is a view.
+which the solver, `check_assignment` and the exporters read; rows come in
+one at a time (`add_constraint`, by name) or as a block of CSR arrays
+over column indices (`add_rows`). Its `row_table` compiles the rows into
+CSR arrays, and `constraints` is a view.
 
 Text formats: a five-section LP dialect (Maximize/Minimize, Subject To,
 Bounds, Binaries, Generals, End) that `parse_lp` reads back losslessly
 for integer data, and classic fixed-field MPS with INTORG/INTEND markers
-and LI/UI bound entries for general integers.
+and LI/UI bound entries for general integers. Both writers assemble their
+row sections from the row table with numpy: each distinct coefficient,
+name and row label is formatted once, and the text is joined once.
 """
 
 from __future__ import annotations
@@ -20,7 +24,8 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, count
+from numbers import Integral
 from typing import Mapping, Optional, Sequence, Union
 
 import numpy as np
@@ -114,6 +119,11 @@ class RowTable:
     coefs: np.ndarray
 
 
+def _python_list(values) -> list:
+    """`values` as a list, with a numpy array's numbers as Python numbers."""
+    return values.tolist() if isinstance(values, np.ndarray) else list(values)
+
+
 class LinearProgram:
     """Variables with bounds and integrality, linear constraints, objective."""
 
@@ -165,6 +175,54 @@ class LinearProgram:
         self._tags.append(tag)
         self._rows = None
 
+    def add_rows(self, indptr, cols, coefs, senses, rhs, tags) -> None:
+        """Append a block of rows given as CSR arrays over declared column
+        indices: row i holds the columns `cols[indptr[i]:indptr[i + 1]]`
+        with the coefficients `coefs` over the same range, and `senses[i]`,
+        `rhs[i]` and `tags[i]`. The rows are checked as `add_constraint`
+        checks one, and appended only after every check passes. Numbers
+        from numpy arrays are stored as Python numbers."""
+        arrays = []
+        for name, values in (("indptr", indptr), ("cols", cols)):
+            array = np.asarray(values)
+            if array.ndim != 1 or (array.size and array.dtype.kind not in "iu"):
+                raise ValueError(f"{name} must be a one-dimensional integer array")
+            arrays.append(array if array.dtype.kind == "i" else array.astype(np.int64))
+        indptr, cols = arrays
+        # A numpy array of coefficients becomes a list only once it is appended.
+        coefs = coefs if isinstance(coefs, np.ndarray) else list(coefs)
+        rhs, senses, tags = _python_list(rhs), list(senses), list(tags)
+        lengths = np.diff(indptr)
+        if not indptr.size or indptr[0] != 0 or (lengths < 0).any():
+            raise ValueError("indptr must start at 0 and never decrease")
+        nrows = lengths.size
+        if not int(indptr[-1]) == cols.size == len(coefs):
+            raise ValueError("indptr must end at the number of columns and coefficients")
+        if not len(senses) == len(rhs) == len(tags) == nrows:
+            raise ValueError("one sense, right-hand side and tag per row required")
+        unknown = set(senses).difference(SENSES)
+        if unknown:
+            raise ValueError(f"unknown constraint sense {min(unknown, key=str)!r}")
+        ncols = len(self.variables)
+        if cols.size and not 0 <= cols.min() <= cols.max() < ncols:
+            raise ValueError(f"column index outside 0..{ncols - 1}")
+        keys = np.repeat(np.arange(nrows, dtype=np.int64) * ncols, lengths)
+        keys += cols
+        keys.sort()
+        repeats = np.flatnonzero(keys[1:] == keys[:-1])
+        if repeats.size:
+            row = int(keys[repeats[0]]) // ncols
+            raise ValueError(f"duplicate variable in constraint {tags[row] or row}")
+        del keys
+        self._ends += (indptr[1:].astype(np.int64) + len(self._cols)).tolist()
+        # The column numbers of `_index`, shared rather than one int per term.
+        self._cols.extend(np.array(list(self._index.values()), dtype=object)[cols])
+        self._coefs += _python_list(coefs)
+        self._senses += senses
+        self._rhs += rhs
+        self._tags += tags
+        self._rows = None
+
     def _row_items(self):
         """Each row as (columns, coefficients, sense, rhs, tag)."""
         cols, coefs, ends = self._cols, self._coefs, self._ends
@@ -182,8 +240,8 @@ class LinearProgram:
 
     def row_table(self) -> RowTable:
         """The rows as a `RowTable`, built from the store on the first call
-        and kept until `add_variable` or `add_constraint` changes the
-        model."""
+        and kept until `add_variable`, `add_constraint` or `add_rows`
+        changes the model."""
         if self._rows is None:
             indptr = np.array([0, *self._ends], dtype=np.int32)
             indices = np.array(self._cols, dtype=np.int32)
@@ -404,63 +462,117 @@ def _sanitized_names(model: LinearProgram) -> list[str]:
 
 
 def format_number(x: Number) -> str:
-    if isinstance(x, bool):
-        x = int(x)
-    if isinstance(x, int):
-        return str(x)
+    """The LP and MPS text of a number: an integral value as an integer,
+    anything else as the `repr` of its float. numpy numbers format as the
+    Python numbers they equal."""
+    if isinstance(x, Integral):
+        return str(int(x))
     if isinstance(x, Fraction):
         if x.denominator == 1:
             return str(x.numerator)
         return repr(float(x))
-    if isinstance(x, float) and x.is_integer():
-        return str(int(x))
-    return repr(x)
+    x = float(x)
+    return str(int(x)) if x.is_integer() else repr(x)
 
 
 class _NumberText(dict):
     """`format_number` of each distinct value met during one export call.
 
     Keying by value is safe because numbers that compare equal (1, 1.0,
-    True, Fraction(1); -0.0 and 0) already format to the same text."""
+    True, Fraction(1), np.int64(1); -0.0 and 0) already format to the same
+    text."""
 
     def __missing__(self, value):
         text = self[value] = format_number(value)
         return text
 
 
-def _format_terms(cols, coefs, names, numbers) -> str:
-    """LP text of the terms `coefs[k]` times the column `cols[k]`."""
-    if not cols:
-        return "0 ZERO_TERMS"
-    text = " ".join(
-        [
-            f"- {numbers[-coef]} {names[j]}" if coef < 0 else f"+ {numbers[coef]} {names[j]}"
-            for j, coef in zip(cols, coefs)
-        ]
-    )
-    return text[2:] if text[0] == "+" else text
+def _number_ids(values):
+    """Each of `values`' index into its distinct values, as an array, and
+    those distinct values, exact, in order of first appearance. Equal
+    numbers share one index, which is safe for the reason `_NumberText`
+    gives."""
+    position = dict(zip(dict.fromkeys(values), count()))
+    return np.fromiter(map(position.__getitem__, values), np.intp, len(values)), list(position)
+
+
+def _row_number_ids(model: LinearProgram):
+    """`_number_ids` of the model's row coefficients. When the row table
+    holds them exactly, in int64, over a range no wider than their count,
+    a table of the values seen finds them in numpy instead."""
+    coefs = model.row_table().coefs
+    if coefs.dtype == np.int64 and coefs.size:
+        low = int(coefs.min())
+        span = int(coefs.max()) - low + 1
+        if span <= coefs.size:
+            shifted = coefs - low
+            seen = np.zeros(span, dtype=bool)
+            seen[shifted] = True
+            return (np.cumsum(seen) - 1)[shifted], (np.flatnonzero(seen) + low).tolist()
+    return _number_ids(model._coefs)
+
+
+def _lp_rows(indptr, cols, coefs, names, heads, tails, numbers) -> str:
+    """LP text of the CSR rows `indptr`, `cols` (column indices) with the
+    coefficients `coefs` (as `_number_ids` gives them): per row its head,
+    its terms and its tail.
+
+    `names` is an object array of each column's name after a space. A term
+    is a sign token with its coefficient's text, looked up by the
+    coefficient's distinct index (a row's first term drops the "+ "), then
+    its column's name. All pieces go into one object array, joined once."""
+    indptr = indptr.astype(np.intp)
+    ids, distinct = coefs
+    signed = np.empty(2 * len(distinct), dtype=object)
+    signed[0::2] = [f" - {numbers[-c]}" if c < 0 else f" + {numbers[c]}" for c in distinct]
+    signed[1::2] = [f"- {numbers[-c]}" if c < 0 else numbers[c] for c in distinct]
+    lengths = np.diff(indptr)
+    nrows = lengths.size
+    row_of = np.repeat(np.arange(nrows), lengths)
+    first = np.zeros(ids.size, dtype=np.intp)
+    first[indptr[:-1][lengths > 0]] = 1
+    # Row i takes the slots from 2 * (indptr[i] + i): its head, a sign
+    # token and a name per term, then its tail.
+    heads_at = 2 * (indptr[:-1] + np.arange(nrows))
+    terms_at = 2 * (np.arange(ids.size) + row_of) + 1
+    pieces = np.empty(2 * (ids.size + nrows), dtype=object)
+    pieces[heads_at] = heads
+    pieces[heads_at + 2 * lengths + 1] = tails
+    pieces[terms_at] = signed[2 * ids + first]
+    pieces[terms_at + 1] = names[cols]
+    return "".join(pieces.tolist())
 
 
 def export_lp(model: LinearProgram) -> str:
     """LP-format text: objective, Subject To, Bounds, Binaries, Generals, End.
 
-    Each distinct number and each variable name is formatted once per call
-    and then looked up. The text is the one the golden tables in
-    tests/test_model_golden.py and tests/test_ilp.py pin."""
+    The objective and the rows are assembled by `_lp_rows` from the row
+    table; each distinct number, each variable name and each row label is
+    formatted once per call and then looked up. The text is the one the
+    golden tables in tests/test_model_golden.py and tests/test_ilp.py pin."""
     names = _sanitized_names(model)
+    spaced = np.array([f" {name}" for name in names], dtype=object)
     numbers = _NumberText()
-    obj_cols = [model._index[name] for name, _ in model.objective]
-    obj_coefs = [coef for _, coef in model.objective]
-    lines = [f"\\ Problem: {model.name}"]
-    lines.append("Maximize" if model.objective_sense == "max" else "Minimize")
-    lines.append(f" obj: {_format_terms(obj_cols, obj_coefs, names, numbers)}")
-    lines.append("Subject To")
-    for idx, (cols, coefs, sense, rhs, tag) in enumerate(model._row_items(), start=1):
-        if tag:
-            lines.append(f"\\ tag: {tag}")
-        terms = _format_terms(cols, coefs, names, numbers)
-        lines.append(f" r{idx}: {terms} {sense} {numbers[rhs]}")
-    lines.append("Bounds")
+    table = model.row_table()
+    obj_cols = np.array([model._index[name] for name, _ in model.objective], dtype=np.intp)
+    objective = _lp_rows(
+        np.array([0, obj_cols.size]),
+        obj_cols,
+        _number_ids([coef for _, coef in model.objective]),
+        spaced,
+        [" obj: "],
+        ["" if obj_cols.size else "0 ZERO_TERMS"],
+        numbers,
+    )
+    heads = [f"\\ tag: {tag}\n r{i}: " if tag else f" r{i}: " for i, tag in enumerate(model._tags, 1)]
+    tails = [
+        f"{'' if length else '0 ZERO_TERMS'} {sense} {numbers[rhs]}\n"
+        for length, sense, rhs in zip(np.diff(table.indptr).tolist(), model._senses, model._rhs)
+    ]
+    rows = _lp_rows(table.indptr, table.indices, _row_number_ids(model), spaced, heads, tails, numbers)
+    del heads, tails
+    sense = "Maximize" if model.objective_sense == "max" else "Minimize"
+    lines = ["Bounds"]
     for var, name in zip(model.variables, names):
         if var.kind != BINARY:
             lines.append(f" {numbers[var.lower]} <= {name} <= {numbers[var.upper]}")
@@ -469,7 +581,8 @@ def export_lp(model: LinearProgram) -> str:
         if listed:
             lines += [section, *listed]
     lines.append("End")
-    return "\n".join(lines) + "\n"
+    head = f"\\ Problem: {model.name}\n{sense}\n{objective}\nSubject To\n"
+    return "".join([head, rows, *(f"{line}\n" for line in lines)])
 
 
 def _parse_number(token: str) -> Number:
@@ -584,15 +697,75 @@ def parse_lp(text: str) -> LinearProgram:
 _MPS_SENSE = {"<=": "L", ">=": "G", "=": "E"}
 
 
+def _mps_columns(model: LinearProgram, names, row_fields, numbers) -> str:
+    """The COLUMNS section's entry lines, assembled from the row table.
+
+    The entries are the objective's, the rows' and a `COST      0` entry
+    for each column with neither. They go in as CSR rows (the objective,
+    the model's rows, then the `COST      0` entries), and the CSC
+    transpose orders them by column, then row. Each line is the column's
+    head, the row field and the coefficient's text, each looked up by
+    index; a column's first line carries the INTORG or INTEND marker line
+    when integrality changes there. All pieces go into one object array,
+    joined once."""
+    from .solver import _to_csc  # solver imports this module
+
+    table = model.row_table()
+    obj_cols = [model._index[name] for name, _ in model.objective]
+    obj_texts = [numbers[coef] for _, coef in model.objective]
+    ids, distinct = _row_number_ids(model)
+    texts = np.array(
+        [f"{text}\n" for text in [*obj_texts, *map(numbers.__getitem__, distinct), "0"]],
+        dtype=object,
+    )
+    listed = np.zeros(len(names), dtype=bool)
+    listed[obj_cols] = True
+    listed[table.indices] = True
+    empty = np.flatnonzero(~listed)
+    nobj = len(obj_cols)
+    cols = np.concatenate([np.array(obj_cols, dtype=np.int32), table.indices, empty.astype(np.int32)])
+    indptr = np.concatenate([[0], table.indptr + nobj, [cols.size]]).astype(np.int32)
+    coef_ids = np.concatenate([np.arange(nobj), ids + nobj, np.full(empty.size, texts.size - 1)])
+    del ids
+    colptr, row_of, entry = _to_csc((indptr, cols, np.arange(cols.size, dtype=float)), len(names))
+    del cols, indptr
+    heads = np.empty(2 * len(names), dtype=object)
+    in_integer_block = False
+    markers = 0
+    for j, (var, name) in enumerate(zip(model.variables, names)):
+        heads[2 * j] = heads[2 * j + 1] = f"    {name:<9} "
+        if var.is_integral != in_integer_block:
+            in_integer_block = var.is_integral
+            markers += 1
+            heads[2 * j + 1] = f"{_mps_marker(markers, in_integer_block)}\n{heads[2 * j]}"
+    # Every column has an entry; its first one takes the head with the marker.
+    head_ids = np.repeat(np.arange(0, heads.size, 2), np.diff(colptr))
+    head_ids[colptr[:-1]] += 1
+    pieces = np.empty(3 * entry.size, dtype=object)
+    pieces[0::3] = heads[head_ids]
+    pieces[1::3] = np.array([*row_fields, row_fields[0]], dtype=object)[row_of]
+    pieces[2::3] = texts[coef_ids[entry.astype(np.intp)]]
+    del head_ids, row_of, entry, coef_ids
+    if in_integer_block:
+        return "".join([*pieces.tolist(), _mps_marker(markers + 1, False), "\n"])
+    return "".join(pieces.tolist())
+
+
+def _mps_marker(number: int, opens: bool) -> str:
+    kind = "INTORG" if opens else "INTEND"
+    return f"    MARKER{number:04d}  'MARKER'                 '{kind}'"
+
+
 def export_mps(model: LinearProgram) -> str:
     """Fixed-field MPS text with integer markers and LI/UI bound entries.
 
     Names longer than a field push the rest of the line right, and at least
     one space always separates two fields, so free-format readers such as
-    HiGHS parse every line. Each distinct number, each variable name and
-    each padded row name is formatted once per call and then looked up.
-    The text is the one the golden tables in tests/test_model_golden.py
-    and tests/test_ilp.py pin."""
+    HiGHS parse every line. The COLUMNS section is assembled by
+    `_mps_columns` from the row table; each distinct number, each variable
+    name and each padded row name is formatted once per call and then
+    looked up. The text is the one the golden tables in
+    tests/test_model_golden.py and tests/test_ilp.py pin."""
     names = _sanitized_names(model)
     numbers = _NumberText()
     lines = [f"NAME          {model.name}"]
@@ -602,47 +775,22 @@ def export_mps(model: LinearProgram) -> str:
     lines.append(" N  COST")
     rows = [f"r{idx}" for idx in range(1, len(model._senses) + 1)]
     lines += [f" {_MPS_SENSE[sense]}  {row}" for sense, row in zip(model._senses, rows)]
-    row_fields = [f"{row:<9} " for row in rows]
-    # Each column's entries as finished "<row:9> <coef>" text.
-    entries: list[list[str]] = [[] for _ in model.variables]
-    for name, coef in model.objective:
-        entries[model._index[name]].append(f"COST      {numbers[coef]}")
-    for field, (cols, coefs, *_) in zip(row_fields, model._row_items()):
-        for j, coef in zip(cols, coefs):
-            entries[j].append(field + numbers[coef])
     lines.append("COLUMNS")
-    in_integer_block = False
-    marker_count = 0
-
-    def marker(kind):
-        nonlocal marker_count
-        marker_count += 1
-        return f"    MARKER{marker_count:04d}  'MARKER'                 '{kind}'"
-
-    for var, name, column in zip(model.variables, names, entries):
-        if var.is_integral != in_integer_block:
-            in_integer_block = var.is_integral
-            lines.append(marker("INTORG" if in_integer_block else "INTEND"))
-        head = f"    {name:<9} "
-        if column:
-            lines.extend([head + entry for entry in column])
-        else:
-            lines.append(f"{head}COST      0")
-    if in_integer_block:
-        lines.append(marker("INTEND"))
-    lines.append("RHS")
-    for field, rhs in zip(row_fields, model._rhs):
+    row_fields = [f"{row:<9} " for row in ["COST", *rows]]
+    columns = _mps_columns(model, names, row_fields, numbers)
+    tail = ["RHS"]
+    for field, rhs in zip(row_fields[1:], model._rhs):
         if rhs != 0:
-            lines.append(f"    RHS       {field}{numbers[rhs]}")
-    lines.append("BOUNDS")
+            tail.append(f"    RHS       {field}{numbers[rhs]}")
+    tail.append("BOUNDS")
     for var, column in zip(model.variables, names):
         if var.kind == BINARY:
-            lines.append(f" BV BND       {column}")
+            tail.append(f" BV BND       {column}")
         elif var.kind == INTEGER:
-            lines.append(f" LI BND       {column:<9} {numbers[var.lower]}")
-            lines.append(f" UI BND       {column:<9} {numbers[var.upper]}")
+            tail.append(f" LI BND       {column:<9} {numbers[var.lower]}")
+            tail.append(f" UI BND       {column:<9} {numbers[var.upper]}")
         else:
-            lines.append(f" LO BND       {column:<9} {numbers[var.lower]}")
-            lines.append(f" UP BND       {column:<9} {numbers[var.upper]}")
-    lines.append("ENDATA")
-    return "\n".join(lines) + "\n"
+            tail.append(f" LO BND       {column:<9} {numbers[var.lower]}")
+            tail.append(f" UP BND       {column:<9} {numbers[var.upper]}")
+    tail.append("ENDATA")
+    return "".join([*(f"{line}\n" for line in lines), columns, *(f"{line}\n" for line in tail)])

@@ -74,6 +74,10 @@ class SolverError(RuntimeError):
 
 @dataclass(frozen=True)
 class SolverConfig:
+    """Search limits. A search explores at most `node_limit` nodes: each
+    branching expands two, so it stops one node short of an even limit.
+    `time_limit` is in wall-clock seconds."""
+
     node_limit: Optional[int] = None
     time_limit: Optional[float] = None
 
@@ -718,7 +722,8 @@ def solve(model: LinearProgram, config: Optional[SolverConfig] = None) -> SolveR
     while heap:
         if config.time_limit is not None and time.perf_counter() - start > config.time_limit:
             return finish("TimeLimit")
-        if config.node_limit is not None and nodes >= config.node_limit:
+        # A pop expands two nodes: stop before one would pass the limit.
+        if config.node_limit is not None and nodes + 2 > config.node_limit:
             return finish("NodeLimit")
         neg_value, neg_depth, _, lower, upper, branch_var, branch_val = heapq.heappop(heap)
         if -neg_value <= cutoff():

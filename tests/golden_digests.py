@@ -5,8 +5,9 @@
 Prints each named table (all of them by default) as a Python literal to
 paste over the one in its test file: `GOLDEN`, `SOLVE_GOLDEN` and
 `OUTCOME_GOLDEN` of `test_model_golden.py`, `GOLDEN_CLI` and
-`GOLDEN_CLI_OUTCOMES` of `test_cli.py`, each a dict, and the single digest
-`UNMERGED_GOLDEN` of `test_solver.py`. A change that moves the search on
+`GOLDEN_CLI_OUTCOMES` of `test_cli.py`, `EXPORT_GOLDEN` of `test_ilp.py`
+(the LP and MPS exports of its hand-built and random edge-case models),
+each a dict, and the single digest `UNMERGED_GOLDEN` of `test_solver.py`. A change that moves the search on
 purpose runs it at its parent commit and at the change, and records every
 digest that differs, old and new, with the reason.
 """
@@ -15,6 +16,7 @@ import sys
 import tempfile
 
 import test_cli
+import test_ilp
 import test_model_golden as models
 import test_solver
 
@@ -36,6 +38,7 @@ TABLES = {
     },
     "GOLDEN_CLI": lambda: cli_table(0, ("winner", "control", "verify", "export")),
     "GOLDEN_CLI_OUTCOMES": lambda: cli_table(1, ("control", "verify")),
+    "EXPORT_GOLDEN": lambda: {kind: test_ilp.export_digest(kind) for kind in sorted(test_ilp.EXPORT_GOLDEN)},
     "UNMERGED_GOLDEN": test_solver.unmerged_digest,
 }
 

@@ -272,8 +272,36 @@ class TestBucklinCandidateEncoder:
                 assert bits[x1] == 1
         assert found_feasible
 
+    @pytest.mark.parametrize("n,m", [(1, 1), (1, 7), (6, 12), (3, 2)])
+    def test_points_rows_match_their_formula(self, n, m):
+        # The points rows go in as one array block; rebuild them a term at
+        # a time from the rankings, in the order the block must keep.
+        rankings = random_profile(random.Random(f"points/{n}/{m}"), n, m)
+        model = encode_bec(StrictProfile(rankings)).model
+        expected = []
+        for j, ranking in enumerate(rankings, start=1):
+            for i in range(1, m + 1):
+                above = ranking[: ranking.index(i)]
+                better = tuple((f"x_{k}", 1) for k in range(1, m + 1) if k in above)
+                for l in range(1, m + 1):
+                    y = f"y_{j}_{i}_{l}"
+                    cap = better + ((y, m + 1),)
+                    forced = better + ((y, m), (f"x_{i}", -m))
+                    expected.append((cap, "<=", m + l, f"bec:points-cap:v{j}:c{i}:l{l}"))
+                    expected.append((forced, ">=", l - m, f"bec:points-forced:v{j}:c{i}:l{l}"))
+        got = [
+            (c.terms, c.sense, c.rhs, c.tag)
+            for c in model.constraints
+            if c.tag.startswith("bec:points-")
+        ]
+        assert got == expected
+        tags = [c.tag for c in model.constraints]
+        assert tags.index(expected[0][3]) == 1
+        coefs = [coef for c in model.constraints for _, coef in c.terms]
+        assert {type(coef) for coef in coefs} == {int}
 
-ENCODERS = (encode_re, encode_ce, encode_pe, encode_mme, encode_bev, encode_bec)
+
+ENCODERS =(encode_re, encode_ce, encode_pe, encode_mme, encode_bev, encode_bec)
 
 
 class TestMakeDestructive:

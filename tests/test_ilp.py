@@ -3,9 +3,11 @@ import itertools
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from ballotcontrol import ilp
+from ballotcontrol.core import SUPPORTED_CONTROL_PAIRS
 from ballotcontrol import (
     Assignment,
     CheckReport,
@@ -308,6 +310,12 @@ def block(names, big_m=None, second=(("x", 1), ("z", 5)), sense="<="):
     return lambda model: add_alternative_block(model, alternatives, names, "pick", big_m)
 
 
+def rows_call(indptr, cols, coefs, senses=("<=", ">="), rhs=(1, 0), tags=("t1", "t2")):
+    """An add_rows call over numpy arrays of the given CSR rows."""
+    arrays = np.array(indptr), np.array(cols), np.array(coefs)
+    return lambda model: model.add_rows(*arrays, senses, np.array(rhs), tags)
+
+
 REJECTED = {
     "variable-taken": (lambda model: model.add_variable("x", "binary"), ValueError),
     "variable-binary-bounds": (lambda model: model.add_variable("w", "binary", 0, 2), ValueError),
@@ -328,6 +336,19 @@ REJECTED = {
     "block-name-count": (block(["y1"]), ValueError),
     "block-sense": (block(["y1", "y2"], sense=">="), ValueError),
     "block-undeclared": (block(["y1", "y2"], second=(("ghost", 1),)), KeyError),
+    # add_rows blocks whose last row is bad, so nothing before it may stick.
+    "rows-column-range": (rows_call([0, 1, 2], [0, 2], [1, 1]), ValueError),
+    "rows-negative-column": (rows_call([0, 1, 2], [1, -1], [1, 1]), ValueError),
+    "rows-duplicate": (rows_call([0, 1, 3], [0, 1, 1], [1, 2, 3]), ValueError),
+    "rows-sense": (rows_call([0, 1, 2], [0, 1], [1, 1], senses=("<=", "<")), ValueError),
+    "rows-rhs-count": (rows_call([0, 1, 2], [0, 1], [1, 1], rhs=(1,)), ValueError),
+    "rows-tag-count": (rows_call([0, 1, 2], [0, 1], [1, 1], tags=("t1", "t2", "t3")), ValueError),
+    "rows-coef-count": (rows_call([0, 1, 2], [0, 1], [1, 1, 1]), ValueError),
+    "rows-indptr-end": (rows_call([0, 1, 3], [0, 1], [1, 1]), ValueError),
+    "rows-indptr-start": (rows_call([1, 1, 2], [0, 1], [1, 1]), ValueError),
+    "rows-indptr-decreasing": (rows_call([0, 2, 1], [0, 1], [1, 1]), ValueError),
+    "rows-indptr-empty": (rows_call([], [], [], senses=(), rhs=(), tags=()), ValueError),
+    "rows-float-columns": (rows_call([0, 1, 2], [0.0, 1.0], [1, 1]), ValueError),
 }
 
 
@@ -409,25 +430,28 @@ class TestMpsFormat:
     def test_long_names_readable_by_highs(self, tmp_path):
         # m = n = 10 gives the ten-character column y_10_10_10, which must
         # stay apart from the row name that follows it.
-        from ballotcontrol import solve
-        from ballotcontrol.solver import _scipy_extension
-
-        core = _scipy_extension("optimize._highspy._core")
         election = random_election(random.Random(10), 10, 10)
         spec = ControlSpec("bucklin", "delete-candidates", "constructive", 2)
         problem, _, _ = build_problem(election, spec)
         text = export_mps(problem.model)
         assert "    y_10_10_10 r" in text
-        path = tmp_path / "bucklin.mps"
-        path.write_text(text)
-        highs = core._Highs()
-        highs.setOptionValue("output_flag", False)
-        assert highs.readModel(str(path)) == core.HighsStatus.kOk
-        highs.run()
-        result = solve(problem.model)
-        assert result.status == "Optimal"
-        assert highs.getModelStatus() == core.HighsModelStatus.kOptimal
-        assert highs.getInfo().objective_function_value == pytest.approx(result.objective)
+        assert_highs_solves_like_solve(problem.model, text, tmp_path / "bucklin.mps")
+
+
+def assert_highs_solves_like_solve(model, mps, path):
+    """HiGHS reads the MPS text `mps` and finds `solve`'s optimum of `model`."""
+    from ballotcontrol.solver import _scipy_extension
+
+    core = _scipy_extension("optimize._highspy._core")
+    path.write_text(mps)
+    highs = core._Highs()
+    highs.setOptionValue("output_flag", False)
+    assert highs.readModel(str(path)) == core.HighsStatus.kOk
+    highs.run()
+    result = solve(model)
+    assert result.status == "Optimal"
+    assert highs.getModelStatus() == core.HighsModelStatus.kOptimal
+    assert highs.getInfo().objective_function_value == pytest.approx(result.objective)
 
 
 def number_edge_model():
@@ -509,10 +533,241 @@ EXPORT_GOLDEN = {
 }
 
 
-@pytest.mark.parametrize("kind", sorted(EXPORT_GOLDEN))
-def test_export_edge_cases_golden(kind):
+def export_digest(kind):
     digest = hashlib.sha256()
     for model in export_edge_models(kind):
         digest.update(export_lp(model).encode())
         digest.update(export_mps(model).encode())
-    assert digest.hexdigest() == EXPORT_GOLDEN[kind], f"the {kind} exports changed"
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("kind", sorted(EXPORT_GOLDEN))
+def test_export_edge_cases_golden(kind):
+    assert export_digest(kind) == EXPORT_GOLDEN[kind], f"the {kind} exports changed"
+
+
+def oracle_terms(cols, coefs, names, numbers):
+    """LP text of one row's terms, written term by term."""
+    if not cols:
+        return "0 ZERO_TERMS"
+    text = " ".join(
+        f"- {numbers[-coef]} {names[j]}" if coef < 0 else f"+ {numbers[coef]} {names[j]}"
+        for j, coef in zip(cols, coefs)
+    )
+    return text[2:] if text[0] == "+" else text
+
+
+def oracle_export_lp(model):
+    """`export_lp` written a line at a time and a term at a time, the
+    reference for the array-built writer."""
+    names = ilp._sanitized_names(model)
+    numbers = ilp._NumberText()
+    obj_cols = [model._index[name] for name, _ in model.objective]
+    obj_coefs = [coef for _, coef in model.objective]
+    lines = [f"\\ Problem: {model.name}"]
+    lines.append("Maximize" if model.objective_sense == "max" else "Minimize")
+    lines.append(f" obj: {oracle_terms(obj_cols, obj_coefs, names, numbers)}")
+    lines.append("Subject To")
+    for idx, (cols, coefs, sense, rhs, tag) in enumerate(model._row_items(), start=1):
+        if tag:
+            lines.append(f"\\ tag: {tag}")
+        lines.append(f" r{idx}: {oracle_terms(cols, coefs, names, numbers)} {sense} {numbers[rhs]}")
+    lines.append("Bounds")
+    for var, name in zip(model.variables, names):
+        if var.kind != "binary":
+            lines.append(f" {numbers[var.lower]} <= {name} <= {numbers[var.upper]}")
+    for section, kind in (("Binaries", "binary"), ("Generals", "integer")):
+        listed = [f" {name}" for var, name in zip(model.variables, names) if var.kind == kind]
+        if listed:
+            lines += [section, *listed]
+    lines.append("End")
+    return "\n".join(lines) + "\n"
+
+
+def oracle_export_mps(model):
+    """`export_mps` with each column's entries collected term by term, the
+    reference for the array-built writer."""
+    names = ilp._sanitized_names(model)
+    numbers = ilp._NumberText()
+    lines = [f"NAME          {model.name}", "OBJSENSE"]
+    lines.append(f"    {'MAX' if model.objective_sense == 'max' else 'MIN'}")
+    lines += ["ROWS", " N  COST"]
+    rows = [f"r{idx}" for idx in range(1, len(model._senses) + 1)]
+    lines += [f" {ilp._MPS_SENSE[sense]}  {row}" for sense, row in zip(model._senses, rows)]
+    fields = [f"{row:<9} " for row in rows]
+    entries = [[] for _ in model.variables]
+    for name, coef in model.objective:
+        entries[model._index[name]].append(f"COST      {numbers[coef]}")
+    for field, (cols, coefs, *_) in zip(fields, model._row_items()):
+        for j, coef in zip(cols, coefs):
+            entries[j].append(field + numbers[coef])
+    lines.append("COLUMNS")
+    in_integer_block = False
+    markers = 0
+    for var, name, column in zip(model.variables, names, entries):
+        if var.is_integral != in_integer_block:
+            in_integer_block = var.is_integral
+            markers += 1
+            kind = "INTORG" if in_integer_block else "INTEND"
+            lines.append(f"    MARKER{markers:04d}  'MARKER'                 '{kind}'")
+        head = f"    {name:<9} "
+        lines += [head + entry for entry in column] or [f"{head}COST      0"]
+    if in_integer_block:
+        lines.append(f"    MARKER{markers + 1:04d}  'MARKER'                 'INTEND'")
+    lines.append("RHS")
+    for field, rhs in zip(fields, model._rhs):
+        if rhs != 0:
+            lines.append(f"    RHS       {field}{numbers[rhs]}")
+    lines.append("BOUNDS")
+    for var, name in zip(model.variables, names):
+        if var.kind == "binary":
+            lines.append(f" BV BND       {name}")
+        else:
+            low, up = ("LI", "UI") if var.kind == "integer" else ("LO", "UP")
+            lines.append(f" {low} BND       {name:<9} {numbers[var.lower]}")
+            lines.append(f" {up} BND       {name:<9} {numbers[var.upper]}")
+    lines.append("ENDATA")
+    return "\n".join(lines) + "\n"
+
+
+def assert_oracle_exports(model):
+    assert export_lp(model) == oracle_export_lp(model)
+    assert export_mps(model) == oracle_export_mps(model)
+
+
+def oracle_edge_model():
+    """Numbers whose text the writers must take from the exact values (an
+    int beyond int64, True, Fraction(3, 1), Fraction(1, 3), 0.5, -0.0, 0),
+    a row with no terms, rows with right-hand side 0, a column in no row
+    and not in the objective, and an integer column last."""
+    model = LinearProgram("oracle edges")
+    model.add_variable("a", "binary")
+    model.add_variable("b", "continuous", -3, 3)
+    model.add_variable("idle", "continuous", 0, 5)
+    model.add_variable("k", "integer", 0, 9)
+    model.set_objective("max", [("a", 2**70), ("k", Fraction(1, 3))])
+    model.add_constraint([("a", 2**64 + 1), ("b", True), ("k", Fraction(3, 1))], "<=", 2**65)
+    model.add_constraint([("b", Fraction(1, 3)), ("a", 0.5)], ">=", 0, tag="thirds")
+    model.add_constraint([], "=", 0, tag="empty")
+    model.add_constraint([("k", -0.0), ("a", 0), ("b", -2**66)], "<=", -0.0)
+    model.add_constraint([("k", 1), ("b", -(2**63))], "=", 0)
+    return model
+
+
+def encoder_models():
+    """Every rule, action and mode at small sizes, and Bucklin candidate
+    deletion at m = n = 10, whose names run past the MPS name field."""
+    rng = random.Random("writer oracle")
+    models = []
+    sizes = ((1, 1), (2, 3), (4, 4), (5, 3))
+    for rule, action in sorted(SUPPORTED_CONTROL_PAIRS):
+        for mode, (n, m) in itertools.product(("constructive", "destructive"), sizes):
+            if rule == "range":
+                election = random_score_election(rng, n, m, 4)
+            else:
+                election = random_election(rng, n, m)
+            spec = ControlSpec(rule, action, mode, rng.randint(1, m))
+            models.append(build_problem(election, spec)[0].model)
+    for mode in ("constructive", "destructive"):
+        spec = ControlSpec("bucklin", "delete-candidates", mode, 2)
+        models.append(build_problem(random_election(rng, 10, 10), spec)[0].model)
+    return models
+
+
+@pytest.mark.parametrize("kind", sorted(EXPORT_GOLDEN))
+def test_writers_match_the_term_by_term_oracle_on_edge_models(kind):
+    for model in export_edge_models(kind):
+        assert_oracle_exports(model)
+
+
+def test_writers_match_the_term_by_term_oracle_on_encoder_models():
+    for model in encoder_models():
+        assert_oracle_exports(model)
+
+
+def test_writers_take_numbers_from_the_exact_values():
+    model = oracle_edge_model()
+    assert model.row_table().coefs.dtype == np.float64
+    assert_oracle_exports(model)
+    lp = export_lp(model)
+    assert f" r1: {2**64 + 1} a + 1 b + 3 k <= {2**65}\n" in lp
+    assert f" obj: {2**70} a + 0.3333333333333333 k\n" in lp
+    assert " r2: 0.3333333333333333 b + 0.5 a >= 0\n" in lp
+    assert " r3: 0 ZERO_TERMS = 0\n" in lp
+    assert f" r4: 0 k + 0 a - {2**66} b <= 0\n" in lp
+    mps = export_mps(model)
+    assert f"    a         COST      {2**70}\n    a         r1        {2**64 + 1}\n" in mps
+    assert "    idle      COST      0\n" in mps
+    assert f"'INTEND'\nRHS\n    RHS       r1        {2**65}\nBOUNDS\n" in mps
+
+
+def numpy_number_model():
+    """Coefficients, right-hand sides and bounds given as numpy scalars."""
+    model = LinearProgram("numpy numbers")
+    model.add_variable("x", "integer", np.int64(0), np.int64(3))
+    model.add_variable("y", "continuous", np.float64(-1.5), np.float32(2.0))
+    model.set_objective("max", [("x", np.int32(3)), ("y", np.float64(0.5))])
+    model.add_constraint([("x", np.int64(2))], "<=", 1)
+    model.add_constraint([("x", np.int64(-4)), ("y", np.float64(2.0))], ">=", np.int64(-7))
+    model.add_constraint([("y", np.float32(0.25)), ("x", np.uint8(1))], "<=", np.float64(2.5))
+    return model
+
+
+def test_numpy_numbers_export_as_python_numbers(tmp_path):
+    model = numpy_number_model()
+    lp = export_lp(model)
+    mps = export_mps(model)
+    assert "np." not in lp + mps
+    assert " r1: 2 x <= 1\n" in lp
+    assert " r2: - 4 x + 2 y >= -7\n" in lp
+    parsed = parse_lp(lp)
+    assert [(c.terms, c.sense, c.rhs) for c in parsed.constraints] == [
+        ((("x", 2),), "<=", 1),
+        ((("x", -4), ("y", 2)), ">=", -7),
+        ((("y", 0.25), ("x", 1)), "<=", 2.5),
+    ]
+    assert export_lp(parsed) == lp
+    assert_oracle_exports(model)
+    assert_highs_solves_like_solve(model, mps, tmp_path / "numpy.mps")
+
+
+def block_rows():
+    """CSR rows over the columns of `rejection_model`, some empty, some
+    with their terms out of column order, as (indptr, cols, coefs, senses,
+    rhs, tags) numpy arrays and lists."""
+    indptr = np.array([0, 2, 2, 3, 5])
+    cols = np.array([1, 0, 1, 0, 1])
+    coefs = np.array([3, -1, 2**40, 7, -2])
+    return indptr, cols, coefs, ["<=", "=", ">=", "<="], np.array([4, 0, -1, 0]), ["b1", "", "b3", "b4"]
+
+
+def test_add_rows_matches_add_constraint():
+    by_rows, by_terms = rejection_model(), rejection_model()
+    indptr, cols, coefs, senses, rhs, tags = block_rows()
+    by_rows.add_rows(indptr, cols, coefs, senses, rhs, tags)
+    names = [var.name for var in by_terms.variables]
+    for i, (sense, value, tag) in enumerate(zip(senses, rhs.tolist(), tags)):
+        span = range(indptr[i], indptr[i + 1])
+        by_terms.add_constraint([(names[cols[k]], int(coefs[k])) for k in span], sense, value, tag)
+    stores = [
+        (m._cols, m._coefs, m._ends, m._senses, m._rhs, m._tags) for m in (by_rows, by_terms)
+    ]
+    assert stores[0] == stores[1]
+    assert {type(v) for v in by_rows._cols + by_rows._coefs + by_rows._ends + by_rows._rhs} == {int}
+    assert model_state(by_rows) == model_state(by_terms)
+    assert by_rows.row_table().coefs.dtype == np.int64
+    assert export_mps(by_rows) == export_mps(by_terms)
+    assert_oracle_exports(by_rows)
+    assert solve(by_rows).objective == solve(by_terms).objective
+
+
+def test_add_rows_takes_empty_blocks_and_plain_sequences():
+    model = rejection_model()
+    before = model_state(model)
+    model.add_rows([0], [], [], [], [], [])
+    assert model_state(model) == before
+    model.add_rows([0, 2], [1, 0], [Fraction(1, 2), True], [">="], [Fraction(1, 3)], ["half"])
+    assert model.constraints[-1] == LinearConstraint(
+        (("z", Fraction(1, 2)), ("x", True)), ">=", Fraction(1, 3), "half"
+    )
+    assert_oracle_exports(model)

@@ -505,6 +505,19 @@ class TestSolve:
                     return
         pytest.fail("no branching instance found")
 
+    @pytest.mark.parametrize("limit", (2, 4, 20))
+    def test_node_limit_is_a_hard_cap(self, limit):
+        # Each pop expands two nodes, so an even limit stops where the odd
+        # limit below it does, one node short of the limit.
+        stops = 0
+        for model in monotone_models():
+            result = solve(model, SolverConfig(node_limit=limit))
+            assert result.nodes_explored <= limit
+            below = solve(model, SolverConfig(node_limit=limit - 1))
+            assert canonical_result(result) == canonical_result(below)
+            stops += result.status == "NodeLimit"
+        assert stops > 0
+
     def test_time_limit(self, worked_rankings):
         rng = random.Random(4242)
         for _ in range(100):
