@@ -13,6 +13,12 @@ constructive program has no win rows and keeps everyone, the destructive
 one gets an unsatisfiable "dest:impossible" row. Infeasibility of a program
 means the chair's goal is unreachable.
 
+Rows reach the program in two forms: `(name, coef)` term tuples, which an
+alternative block also takes (each alternative a list of `(terms, rhs,
+tag)` rows read as `terms <= rhs`), and, for the 2·n·m² Bucklin points
+rows (`_bucklin_points_rows`), one block of CSR arrays over column indices
+(`LinearProgram.add_rows`).
+
 Constraint tags name the model and the family a row belongs to (e.g.
 "pe:win:c3", "dest:alt:c3"); the test-suite locates rows through them.
 
@@ -46,14 +52,7 @@ from typing import Mapping, Optional
 import numpy as np
 
 from .core import MODES, Election, ControlSpec, ScoreMatrix, StrictProfile, swap_index
-from .ilp import (
-    Assignment,
-    BINARY,
-    INTEGER,
-    LinearConstraint,
-    LinearProgram,
-    add_alternative_block,
-)
+from .ilp import Assignment, BINARY, INTEGER, LinearProgram, add_alternative_block
 from .rules import rule_payload, winner_after_deletion
 
 
@@ -152,7 +151,7 @@ def _duel_rows(model, xs, family, duels, destructive, big_m=None) -> None:
     elif duels:
         add_alternative_block(
             model,
-            [LinearConstraint(terms, "<=", 0, f"dest:alt:c{i}") for i, terms in duels],
+            [[(terms, 0, f"dest:alt:c{i}")] for i, terms in duels],
             big_m=big_m,
             names=[f"y_{i}" for i, _ in duels],
             pick_tag="dest:pick",
@@ -267,8 +266,7 @@ def encode_mme(profile: StrictProfile, mode: str = "constructive") -> EncodedPro
         # b >= the target's minimum advantage: some advantage of the target
         # is at most b.
         target_min = [
-            LinearConstraint(backers(1, k, 1) + ((b, -1),), "<=", 0, f"dest:target-min:c{k}")
-            for k in range(2, m + 1)
+            [(backers(1, k, 1) + ((b, -1),), 0, f"dest:target-min:c{k}")] for k in range(2, m + 1)
         ]
         add_alternative_block(
             model,
@@ -279,9 +277,7 @@ def encode_mme(profile: StrictProfile, mode: str = "constructive") -> EncodedPro
         # Some rival's minimum advantage reaches b: all of its advantages do.
         rival_min = [
             [
-                LinearConstraint(
-                    ((b, 1),) + backers(i, k, -1), "<=", 0, f"dest:rival-min:c{i}:c{k}"
-                )
+                (((b, 1),) + backers(i, k, -1), 0, f"dest:rival-min:c{i}:c{k}")
                 for k in range(1, m + 1)
                 if k != i
             ]
@@ -353,7 +349,7 @@ def _bucklin_alternatives(model, z, m, level, alternatives, names) -> None:
             terms = ((z[i, l], -1),)
             if l > 1:
                 terms += ((z[1, l - 1], 1),)
-            alternatives.append(LinearConstraint(terms, "<=", -1, f"dest:alt:c{i}:{level}{l}"))
+            alternatives.append([(terms, -1, f"dest:alt:c{i}:{level}{l}")])
             names.append(f"d_{i}_{l}")
     add_alternative_block(model, alternatives, names, "dest:pick")
 
@@ -393,9 +389,7 @@ def encode_bev(profile: StrictProfile, mode: str = "constructive") -> EncodedPro
     elif m == 1:
         _impossible(model, xs)
     else:
-        no_score = LinearConstraint(
-            tuple((z[1, l], 1) for l in range(1, m + 1)), "<=", 0, "dest:alt:no-score"
-        )
+        no_score = [(tuple((z[1, l], 1) for l in range(1, m + 1)), 0, "dest:alt:no-score")]
         _bucklin_alternatives(model, z, m, "k", [no_score], ["d_0"])
     return EncodedProblem(model, xs)
 

@@ -3,12 +3,15 @@
 Models are built single-threaded through the LinearProgram methods and
 treated as immutable afterwards. Coefficients, bounds, and right-hand
 sides are plain Python numbers; encoders only produce integers, so
-feasibility checks on rounded assignments are exact. A call that raises
-leaves the model unchanged. A model stores its rows once, by column,
-which the solver, `check_assignment` and the exporters read; rows come in
-one at a time (`add_constraint`, by name) or as a block of CSR arrays
-over column indices (`add_rows`). Its `row_table` compiles the rows into
-CSR arrays, and `constraints` is a view.
+feasibility checks on rounded assignments are exact. Coefficients must be
+finite and right-hand sides numbers (not NaN). A call that raises leaves
+the model unchanged. A model stores its rows once, by column, which the
+solver, `check_assignment` and the exporters read: each term's column in
+one int32 `array`, its exact coefficient in a list. Rows come in two
+forms only: one at a time as `(name, coef)` terms (`add_constraint`; an
+alternative block takes rows of that form too) or as a block of CSR
+arrays over column indices (`add_rows`). Its `row_table` compiles the
+rows into CSR arrays, and `constraints` is a view.
 
 Text formats: a five-section LP dialect (Maximize/Minimize, Subject To,
 Bounds, Binaries, Generals, End) that `parse_lp` reads back losslessly
@@ -22,6 +25,7 @@ from __future__ import annotations
 
 import math
 import re
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, count
@@ -51,7 +55,7 @@ class Variable:
             raise ValueError(f"unknown variable kind {self.kind!r}")
         if self.kind == BINARY and (self.lower, self.upper) != (0, 1):
             raise ValueError("binary variables must have bounds [0, 1]")
-        if self.lower > self.upper:
+        if not self.lower <= self.upper:
             raise ValueError(f"variable {self.name}: lower bound exceeds upper bound")
 
     @property
@@ -124,6 +128,19 @@ def _python_list(values) -> list:
     return values.tolist() if isinstance(values, np.ndarray) else list(values)
 
 
+def _check_numbers(values, what, finite=True) -> None:
+    """Raise ValueError if `values` holds a NaN or, with `finite`, an
+    infinite number. Plain ints, and integer numpy arrays by their dtype,
+    are not looked at one by one: only plain ints sum to a plain int."""
+    if isinstance(values, np.ndarray) and values.dtype.kind in "biu":
+        return
+    if type(sum(values)) is int:
+        return
+    for value in values:
+        if value != value or finite and abs(value) == math.inf:
+            raise ValueError(f"{what} {value!r} is not {'finite' if finite else 'a number'}")
+
+
 class LinearProgram:
     """Variables with bounds and integrality, linear constraints, objective."""
 
@@ -135,7 +152,7 @@ class LinearProgram:
         self._index: dict[str, int] = {}
         # The rows, in insertion order: each term's column and coefficient
         # as given, and each row's end offset into those, sense, rhs and tag.
-        self._cols: list[int] = []
+        self._cols = array("i")
         self._coefs: list[Number] = []
         self._ends: list[int] = []
         self._senses: list[str] = []
@@ -155,10 +172,9 @@ class LinearProgram:
     def variable(self, name: str) -> Variable:
         return self.variables[self._index[name]]
 
-    def add_constraint(self, terms, sense, rhs, tag="") -> None:
-        if sense not in SENSES:
-            raise ValueError(f"unknown constraint sense {sense!r}")
-        terms = tuple(terms)
+    def _resolve(self, terms, rhs, tag):
+        """The columns and coefficients of the row `terms` with right-hand
+        side `rhs`, checked as `add_constraint` checks them."""
         index = self._index
         try:
             cols = [index[name] for name, _ in terms]
@@ -167,8 +183,17 @@ class LinearProgram:
             raise ValueError(message) from None
         if len(set(cols)) != len(cols):
             raise ValueError(f"duplicate variable in constraint {tag or terms}")
-        self._cols += cols
-        self._coefs += [coef for _, coef in terms]
+        coefs = [coef for _, coef in terms]
+        _check_numbers(coefs, "coefficient")
+        _check_numbers((rhs,), "right-hand side", finite=False)
+        return cols, coefs
+
+    def add_constraint(self, terms, sense, rhs, tag="") -> None:
+        if sense not in SENSES:
+            raise ValueError(f"unknown constraint sense {sense!r}")
+        cols, coefs = self._resolve(tuple(terms), rhs, tag)
+        self._cols.fromlist(cols)
+        self._coefs += coefs
         self._ends.append(len(self._cols))
         self._senses.append(sense)
         self._rhs.append(rhs)
@@ -180,14 +205,15 @@ class LinearProgram:
         indices: row i holds the columns `cols[indptr[i]:indptr[i + 1]]`
         with the coefficients `coefs` over the same range, and `senses[i]`,
         `rhs[i]` and `tags[i]`. The rows are checked as `add_constraint`
-        checks one, and appended only after every check passes. Numbers
-        from numpy arrays are stored as Python numbers."""
+        checks one, and appended only after every check passes: the
+        columns as int32 bytes, with no work per declared column or per
+        term in Python, the other numbers as Python numbers."""
         arrays = []
         for name, values in (("indptr", indptr), ("cols", cols)):
-            array = np.asarray(values)
-            if array.ndim != 1 or (array.size and array.dtype.kind not in "iu"):
+            values = np.asarray(values)
+            if values.ndim != 1 or (values.size and values.dtype.kind not in "iu"):
                 raise ValueError(f"{name} must be a one-dimensional integer array")
-            arrays.append(array if array.dtype.kind == "i" else array.astype(np.int64))
+            arrays.append(values if values.dtype.kind == "i" else values.astype(np.int64))
         indptr, cols = arrays
         # A numpy array of coefficients becomes a list only once it is appended.
         coefs = coefs if isinstance(coefs, np.ndarray) else list(coefs)
@@ -200,6 +226,8 @@ class LinearProgram:
             raise ValueError("indptr must end at the number of columns and coefficients")
         if not len(senses) == len(rhs) == len(tags) == nrows:
             raise ValueError("one sense, right-hand side and tag per row required")
+        _check_numbers(coefs, "coefficient")
+        _check_numbers(rhs, "right-hand side", finite=False)
         unknown = set(senses).difference(SENSES)
         if unknown:
             raise ValueError(f"unknown constraint sense {min(unknown, key=str)!r}")
@@ -215,8 +243,7 @@ class LinearProgram:
             raise ValueError(f"duplicate variable in constraint {tags[row] or row}")
         del keys
         self._ends += (indptr[1:].astype(np.int64) + len(self._cols)).tolist()
-        # The column numbers of `_index`, shared rather than one int per term.
-        self._cols.extend(np.array(list(self._index.values()), dtype=object)[cols])
+        self._cols.frombytes(cols.astype(np.intc).tobytes())  # the C int of array("i")
         self._coefs += _python_list(coefs)
         self._senses += senses
         self._rhs += rhs
@@ -244,6 +271,7 @@ class LinearProgram:
         changes the model."""
         if self._rows is None:
             indptr = np.array([0, *self._ends], dtype=np.int32)
+            # A copy of the column buffer, which later rows may still grow.
             indices = np.array(self._cols, dtype=np.int32)
             coefs = self._coefs
             data = None
@@ -266,6 +294,7 @@ class LinearProgram:
                 raise ValueError(f"objective references undeclared variable {name!r}")
         if len({name for name, _ in terms}) != len(terms):
             raise ValueError("duplicate variable in objective")
+        _check_numbers([coef for _, coef in terms], "objective coefficient")
         self.objective_sense = sense
         self.objective = terms
 
@@ -290,21 +319,20 @@ def add_alternative_block(
 ) -> list[str]:
     """Install "at least one of these alternatives holds" as linear rows.
 
-    Each alternative is a <=-sense constraint, or a list of them that must
-    hold together; a fresh binary indicator y, named by `names` in order, is
-    declared per alternative, each row becomes `expr <= rhs + M*(1-y)`, and
-    the row `sum(y) >= 1`, tagged `pick_tag`, forces one indicator on. With
-    `big_m=None` every row gets the smallest bound that is valid over the
-    variable box; an explicit big_m is validated against that bound.
-    Returns the indicator names.
+    Each alternative is a non-empty sequence of rows `(terms, rhs, tag)`,
+    each read as `terms <= rhs`, that must hold together; a fresh binary
+    indicator y, named by `names` in order, is declared per alternative,
+    each row becomes `terms + M*y <= rhs + M`, and the row `sum(y) >= 1`,
+    tagged `pick_tag`, forces one indicator on. With `big_m=None` every row
+    gets the smallest bound that is valid over the variable box; an
+    explicit big_m is validated against that bound. Every row is checked
+    before anything is declared. Returns the indicator names.
     """
-    groups = [[alt] if isinstance(alt, LinearConstraint) else list(alt) for alt in alternatives]
+    groups = list(alternatives)
     if not groups:
         raise ValueError("alternative block needs at least one alternative")
     if not all(groups):
         raise ValueError("empty alternative group")
-    if any(constraint.sense != "<=" for group in groups for constraint in group):
-        raise ValueError("alternatives must be <=-sense constraints")
     if len(names) != len(groups):
         raise ValueError("one indicator name per alternative required")
     indicator_names = list(names)
@@ -312,16 +340,18 @@ def add_alternative_block(
         raise ValueError(f"indicator names must be distinct and new: {indicator_names}")
     rows = []
     for y, group in zip(indicator_names, groups):
-        for constraint in group:
-            needed = model.expression_box_max(constraint.terms) - constraint.rhs
+        for terms, rhs, tag in group:
+            terms = tuple(terms)
+            needed = model.expression_box_max(terms) - rhs
+            model._resolve(terms, rhs, tag)
             if big_m is not None and big_m < needed:
                 raise ValueError(
-                    f"big-M {big_m} too small for alternative {constraint.tag!r} "
-                    f"(needs at least {needed})"
+                    f"big-M {big_m} too small for alternative {tag!r} (needs at least {needed})"
                 )
             m_value = max(needed if big_m is None else big_m, 0)
-            terms = constraint.terms + ((y, m_value),)
-            rows.append((terms, constraint.rhs + m_value, constraint.tag))
+            if not m_value < math.inf:
+                raise ValueError(f"alternative {tag!r} has no finite big-M")
+            rows.append((terms + ((y, m_value),), rhs + m_value, tag))
     for name in indicator_names:
         model.add_variable(name, BINARY)
     for terms, rhs, tag in rows:
@@ -378,14 +408,14 @@ def _check_python(model, values, feas_tol, int_tol):
     violations = []
     for idx, (cols, coefs, sense, rhs, tag) in enumerate(model._row_items()):
         amount = _violation(sum(coef * point[j] for j, coef in zip(cols, coefs)), sense, rhs)
-        if amount > feas_tol:
+        if not amount <= feas_tol:
             violations.append((idx, tag, amount))
     integrality = []
     bounds = []
     for var, value in zip(model.variables, point):
         if var.is_integral and abs(value - round(value)) > int_tol:
             integrality.append((var.name, value))
-        if max(var.lower - value, value - var.upper) > feas_tol:
+        if not max(var.lower - value, value - var.upper) <= feas_tol:
             bounds.append((var.name, value))
     return violations, integrality, bounds
 
@@ -433,11 +463,16 @@ def _check_int64(model, values, feas_tol, int_tol):
 
 _NAME_RE = re.compile(r"[^A-Za-z0-9_.\[\]]")
 _CLEAN_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_.\[\]]*\Z")
+# Lines `parse_lp` reads as a section change, and the empty-row marker.
+_LP_WORDS = frozenset(["maximize", "minimize", "bounds", "binaries", "generals", "end", "zero_terms"])
 
 
 def sanitize_name(name: str) -> str:
+    """The LP and MPS token of `name`: other characters become `_`, and a
+    `v` goes in front of a name that starts with a digit or a `.` or that
+    is, in any case, a word `parse_lp` reads as a section or empty row."""
     clean = _NAME_RE.sub("_", name)
-    if not clean or clean[0].isdigit() or clean[0] == ".":
+    if not clean or clean[0].isdigit() or clean[0] == "." or clean.lower() in _LP_WORDS:
         clean = "v" + clean
     return clean
 
@@ -446,14 +481,17 @@ def _sanitized_names(model: LinearProgram) -> list[str]:
     """The exported name of each variable, by column, worked out once per
     export call.
 
-    A name that is already a valid token is kept as it is, which is what
-    `sanitize_name` would return for it; only other names go through
-    `sanitize_name`. Two variables that end up with one name are an error."""
+    A name that is already a valid token and no LP section word is kept
+    as it is, which is what `sanitize_name` would return for it; only
+    other names go through `sanitize_name`. Two variables that end up with
+    one name are an error."""
     names = []
     seen = set()
     for var in model.variables:
         name = var.name
-        clean = name if _CLEAN_NAME_RE.match(name) else sanitize_name(name)
+        clean = name
+        if not _CLEAN_NAME_RE.match(name) or name.lower() in _LP_WORDS:
+            clean = sanitize_name(name)
         if clean in seen:
             raise ValueError(f"variable name collision after sanitization: {clean!r}")
         seen.add(clean)

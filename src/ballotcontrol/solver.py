@@ -586,8 +586,7 @@ def solve(model: LinearProgram, config: Optional[SolverConfig] = None) -> SolveR
     def try_incumbent(x):
         nonlocal incumbent_vec, incumbent_val
         rounded = x.copy()
-        if int_idx.size:
-            rounded[int_idx] = np.round(rounded[int_idx])
+        rounded[int_idx] = np.round(rounded[int_idx])
         np.clip(rounded, sf.lower, sf.upper, out=rounded)
         if not sf.feasible_point(rounded, FEASIBILITY_TOL):
             return False
@@ -614,8 +613,6 @@ def solve(model: LinearProgram, config: Optional[SolverConfig] = None) -> SolveR
         most fractional variable with a one-step backtrack, propagates,
         and re-solves. Pure primal heuristic; node bounds are untouched.
         """
-        if not int_idx.size:
-            return
         bounds = (lower, upper)
         point = x
         for _ in range(12):
@@ -715,10 +712,6 @@ def solve(model: LinearProgram, config: Optional[SolverConfig] = None) -> SolveR
         return SolveResult(status, assignment, report.objective, bound, nodes, wall)
 
     expand(sf.lower.copy(), sf.upper.copy(), 0)
-    if not heap and incumbent_vec is None:
-        # Root relaxation infeasible, or every integral point is cut off.
-        return finish("Infeasible")
-
     while heap:
         if config.time_limit is not None and time.perf_counter() - start > config.time_limit:
             return finish("TimeLimit")

@@ -7,7 +7,9 @@ paste over the one in its test file: `GOLDEN`, `SOLVE_GOLDEN` and
 `OUTCOME_GOLDEN` of `test_model_golden.py`, `GOLDEN_CLI` and
 `GOLDEN_CLI_OUTCOMES` of `test_cli.py`, `EXPORT_GOLDEN` of `test_ilp.py`
 (the LP and MPS exports of its hand-built and random edge-case models),
-each a dict, and the single digest `UNMERGED_GOLDEN` of `test_solver.py`. A change that moves the search on
+`PROPAGATION_GOLDEN` of `test_solver.py` (bound propagation on random
+boxes), each a dict, and the single digest `UNMERGED_GOLDEN` of
+`test_solver.py`. A change that moves the search or the propagation on
 purpose runs it at its parent commit and at the change, and records every
 digest that differs, old and new, with the reason.
 """
@@ -39,6 +41,10 @@ TABLES = {
     "GOLDEN_CLI": lambda: cli_table(0, ("winner", "control", "verify", "export")),
     "GOLDEN_CLI_OUTCOMES": lambda: cli_table(1, ("control", "verify")),
     "EXPORT_GOLDEN": lambda: {kind: test_ilp.export_digest(kind) for kind in sorted(test_ilp.EXPORT_GOLDEN)},
+    "PROPAGATION_GOLDEN": lambda: {
+        kind: test_solver.propagation_digest(kind)
+        for kind in sorted(test_solver.PROPAGATION_GOLDEN)
+    },
     "UNMERGED_GOLDEN": test_solver.unmerged_digest,
 }
 

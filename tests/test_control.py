@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -5,11 +6,13 @@ import pytest
 from ballotcontrol import (
     ControlSpec,
     Election,
+    LinearConstraint,
     SolverConfig,
     brute_force_control,
     solve_control,
 )
-from genutil import random_election
+from ballotcontrol.core import MODES, SUPPORTED_CONTROL_PAIRS
+from genutil import random_election, random_score_election
 
 GOLDEN = {
     ("condorcet", "delete-voters"): 3,
@@ -130,3 +133,27 @@ def test_random_targets_agree_with_oracle(seed):
         oracle.status,
         oracle.objective,
     )
+
+
+def test_no_linear_constraint_is_built_while_solving(monkeypatch):
+    """Programs are built from term tuples and arrays alone:
+    `LinearConstraint` is only the item type of the `constraints` view."""
+
+    def refuse(self):
+        raise AssertionError(f"LinearConstraint built on the solve path: {self.tag!r}")
+
+    monkeypatch.setattr(LinearConstraint, "__post_init__", refuse)
+    rng = random.Random("no constraint objects")
+    for (rule, action), mode in itertools.product(sorted(SUPPORTED_CONTROL_PAIRS), MODES):
+        for n, m in ((1, 1), (3, 2), (4, 3), (5, 4)):
+            if rule == "range":
+                election = random_score_election(rng, n, m, 3)
+            else:
+                election = random_election(rng, n, m)
+            spec = ControlSpec(rule, action, mode, rng.randint(1, m))
+            outcome = solve_control(election, spec)
+            oracle = brute_force_control(election, spec)
+            assert (outcome.solution.status, outcome.solution.objective) == (
+                oracle.status,
+                oracle.objective,
+            )

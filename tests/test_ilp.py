@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -68,7 +69,7 @@ class TestAlternativeBlock:
         model = LinearProgram()
         x = model.add_variable("x", "binary")
         model.set_objective("max", [(x, 1)])
-        alt = LinearConstraint(((x, 1),), "<=", 0, tag="only")
+        alt = [(((x, 1),), 0, "only")]
         names = add_alternative_block(model, [alt], ["y"], "pick")
         assert names == ["y"]
         assert model.constraints[-1].tag == "pick"
@@ -78,23 +79,21 @@ class TestAlternativeBlock:
         assert check_assignment(model, good).ok
         assert not check_assignment(model, bad).ok
 
-    def test_rejects_empty_and_wrong_sense(self):
+    def test_rejects_empty_and_unnamed_alternatives(self):
         model = LinearProgram()
         x = model.add_variable("x", "binary")
         with pytest.raises(ValueError):
             add_alternative_block(model, [], [], "pick")
         with pytest.raises(ValueError):
-            add_alternative_block(model, [LinearConstraint(((x, 1),), ">=", 1)], ["y"], "pick")
+            add_alternative_block(model, [[]], ["y"], "pick")
         with pytest.raises(ValueError):
-            add_alternative_block(model, [LinearConstraint(((x, 1),), "<=", 0)], [], "pick")
+            add_alternative_block(model, [[(((x, 1),), 0, "")]], [], "pick")
 
     def test_too_small_big_m_rejected(self):
         model = LinearProgram()
         x = model.add_variable("x", "binary")
         with pytest.raises(ValueError):
-            add_alternative_block(
-                model, [LinearConstraint(((x, 5),), "<=", 0)], ["y"], "pick", big_m=1
-            )
+            add_alternative_block(model, [[(((x, 5),), 0, "")]], ["y"], "pick", big_m=1)
 
     @pytest.mark.parametrize("seed", range(12))
     def test_k1_feasibility_matches_direct_disjunction(self, seed):
@@ -105,11 +104,14 @@ class TestAlternativeBlock:
         alts = []
         for a in range(rng.randint(1, 3)):
             terms = tuple((x, rng.randint(-3, 3)) for x in xs)
-            alts.append(LinearConstraint(terms, "<=", rng.randint(-2, 2), tag=f"alt{a}"))
+            alts.append([(terms, rng.randint(-2, 2), f"alt{a}")])
         names = add_alternative_block(base, alts, [f"y{a}" for a in range(len(alts))], "pick")
         for bits in itertools.product((0, 1), repeat=3):
             x_vals = dict(zip(xs, bits))
-            holds_any = any(c.satisfied(x_vals) for c in alts)
+            holds_any = any(
+                all(sum(c * x_vals[x] for x, c in terms) <= rhs for terms, rhs, _ in alt)
+                for alt in alts
+            )
             block_feasible = False
             for ybits in itertools.product((0, 1), repeat=len(names)):
                 point = dict(x_vals)
@@ -165,6 +167,49 @@ class TestCheckAssignment:
         # A bound is missed by more than feas_tol, as a row is.
         report = check_assignment(model, Assignment({"y": 1, "z": 0.3}), feas_tol=0.05)
         assert report.ok
+
+    def test_nan_value_violates_its_rows_and_bounds(self):
+        model = LinearProgram()
+        model.add_variable("u", "continuous", 0, 1)
+        model.set_objective("max", [("u", 1)])
+        model.add_constraint([("u", 2)], "<=", 1, tag="half")
+        report = check_assignment(model, Assignment({"u": math.nan}), feas_tol=1e-6)
+        assert [tag for _, tag, _ in report.violations] == ["half"]
+        assert [name for name, _ in report.bounds] == ["u"]
+        assert not report.ok
+
+
+@pytest.mark.parametrize("coef, rhs", [(math.nan, 0), (math.inf, 0), (1, math.nan)])
+@pytest.mark.parametrize("form", ["terms", "rows", "arrays"])
+def test_rows_with_nan_or_infinite_coefficients_are_rejected(form, coef, rhs):
+    """`nan·x <= 0` on a binary x used to solve to Optimal 1, and a NaN
+    right-hand side passed the exact gate at every point."""
+    model = LinearProgram("nan")
+    model.add_variable("x", "binary")
+    model.set_objective("max", [("x", 1)])
+    with pytest.raises(ValueError, match="not (finite|a number)"):
+        if form == "terms":
+            model.add_constraint([("x", coef)], "<=", rhs)
+        elif form == "rows":
+            model.add_rows([0, 1], [0], [coef], ["<="], [rhs], [""])
+        else:
+            arrays = np.array([0, 1]), np.array([0]), np.array([coef])
+            model.add_rows(*arrays, ["<="], np.array([rhs]), [""])
+    assert model.constraints == ()
+
+
+@pytest.mark.parametrize("lower, upper", [(math.nan, 3), (0, math.nan), (math.nan, math.nan)])
+def test_variable_with_a_nan_bound_is_rejected(lower, upper):
+    with pytest.raises(ValueError, match="lower bound exceeds upper bound"):
+        ilp.Variable("z", "integer", lower, upper)
+
+
+@pytest.mark.parametrize("coef", [math.nan, -math.inf, np.float64("nan")])
+def test_objective_with_a_nan_or_infinite_coefficient_is_rejected(coef):
+    model = tiny_model()
+    with pytest.raises(ValueError, match="objective coefficient"):
+        model.set_objective("min", [("x", coef)])
+    assert model.objective == (("x", 1),)
 
 
 def integer_program(rng):
@@ -301,12 +346,10 @@ def rejection_model():
     return model
 
 
-def block(names, big_m=None, second=(("x", 1), ("z", 5)), sense="<="):
-    """An alternative block call whose second alternative is `second`."""
-    alternatives = [
-        LinearConstraint((("x", 1),), "<=", 0, "a1"),
-        LinearConstraint(second, sense, 0, "a2"),
-    ]
+def block(names, big_m=None, second=(("x", 1), ("z", 5)), rhs=0):
+    """An alternative block call whose second alternative is the row
+    `second <= rhs`."""
+    alternatives = [[((("x", 1),), 0, "a1")], [(second, rhs, "a2")]]
     return lambda model: add_alternative_block(model, alternatives, names, "pick", big_m)
 
 
@@ -334,8 +377,30 @@ REJECTED = {
     "block-taken-name": (block(["y1", "z"]), ValueError),
     "block-repeated-name": (block(["y1", "y1"]), ValueError),
     "block-name-count": (block(["y1"]), ValueError),
-    "block-sense": (block(["y1", "y2"], sense=">="), ValueError),
     "block-undeclared": (block(["y1", "y2"], second=(("ghost", 1),)), KeyError),
+    # Rows that would fail in add_constraint once the indicators exist.
+    "block-duplicate": (block(["y1", "y2"], second=(("z", 1), ("z", 5))), ValueError),
+    "block-nan-rhs": (block(["y1", "y2"], rhs=math.nan), ValueError),
+    "block-nan-coef": (block(["y1", "y2"], second=(("z", math.nan),)), ValueError),
+    "block-nan-big-m": (block(["y1", "y2"], big_m=math.nan), ValueError),
+    "block-infinite-big-m": (block(["y1", "y2"], rhs=-math.inf), ValueError),
+    "variable-nan-bound": (
+        lambda model: model.add_variable("w", "integer", math.nan, 3),
+        ValueError,
+    ),
+    "constraint-nan-coef": (
+        lambda model: model.add_constraint([("x", math.nan)], "<=", 0),
+        ValueError,
+    ),
+    "constraint-infinite-coef": (
+        lambda model: model.add_constraint([("z", 1), ("x", -math.inf)], "<=", 0),
+        ValueError,
+    ),
+    "constraint-nan-rhs": (
+        lambda model: model.add_constraint([("x", 1)], "<=", math.nan),
+        ValueError,
+    ),
+    "objective-nan-coef": (lambda model: model.set_objective("min", [("x", math.nan)]), ValueError),
     # add_rows blocks whose last row is bad, so nothing before it may stick.
     "rows-column-range": (rows_call([0, 1, 2], [0, 2], [1, 1]), ValueError),
     "rows-negative-column": (rows_call([0, 1, 2], [1, -1], [1, 1]), ValueError),
@@ -349,13 +414,16 @@ REJECTED = {
     "rows-indptr-decreasing": (rows_call([0, 2, 1], [0, 1], [1, 1]), ValueError),
     "rows-indptr-empty": (rows_call([], [], [], senses=(), rhs=(), tags=()), ValueError),
     "rows-float-columns": (rows_call([0, 1, 2], [0.0, 1.0], [1, 1]), ValueError),
+    "rows-nan-coef": (rows_call([0, 1, 2], [0, 1], [1, math.nan]), ValueError),
+    "rows-infinite-coef": (rows_call([0, 1, 2], [0, 1], [1, math.inf]), ValueError),
+    "rows-nan-rhs": (rows_call([0, 1, 2], [0, 1], [1, 1], rhs=(1, math.nan)), ValueError),
 }
 
 
 def model_state(model):
     table = model.row_table()
     arrays = [(a.dtype, a.tolist()) for a in (table.indptr, table.indices, table.coefs)]
-    return list(model.variables), model.constraints, arrays, export_lp(model)
+    return list(model.variables), model.constraints, arrays, export_lp(model), model.objective
 
 
 @pytest.mark.parametrize("case", sorted(REJECTED))
@@ -390,6 +458,30 @@ class TestLpFormat:
         model.set_objective("min", [("b", -2), ("u", 1)])
         model.add_constraint([("b", -1), ("u", 4)], ">=", -2, tag="row")
         assert models_equal(model, parse_lp(export_lp(model)))
+
+    @pytest.mark.parametrize(
+        "word",
+        ["end", "End", "maximize", "MINIMIZE", "bounds", "Binaries", "generals", "ZERO_TERMS"],
+    )
+    def test_lp_section_words_as_names_round_trip(self, word):
+        """A binary named like an LP section word was read back as a
+        continuous column (its Binaries line ended the section), and a
+        variable named ZERO_TERMS was dropped from every row."""
+        model = LinearProgram("words")
+        model.add_variable(word, "binary")
+        model.add_variable("u", "continuous", 0, 1)
+        model.set_objective("max", [(word, 1), ("u", 1)])
+        model.add_constraint([(word, 2)], "<=", 1, tag="half")
+        model.add_constraint([("u", 1), (word, -1)], "<=", 0, tag="follow")
+        parsed = parse_lp(export_lp(model))
+        assert [v.name for v in parsed.variables] == [ilp.sanitize_name(word), "u"]
+        assert ilp.sanitize_name(word) == f"v{word}"
+        assert [v.kind for v in parsed.variables] == ["binary", "continuous"]
+        assert [len(c.terms) for c in parsed.constraints] == [1, 2]
+        assert solve(model).objective == solve(parsed).objective == 0
+        model.add_variable(f"v{word}", "binary")
+        with pytest.raises(ValueError, match="collision"):
+            export_lp(model)
 
     def test_sanitization_collision_rejected(self):
         model = LinearProgram()
@@ -753,7 +845,9 @@ def test_add_rows_matches_add_constraint():
         (m._cols, m._coefs, m._ends, m._senses, m._rhs, m._tags) for m in (by_rows, by_terms)
     ]
     assert stores[0] == stores[1]
-    assert {type(v) for v in by_rows._cols + by_rows._coefs + by_rows._ends + by_rows._rhs} == {int}
+    stored = (by_rows._cols, by_rows._coefs, by_rows._ends, by_rows._rhs)
+    assert {type(v) for store in stored for v in store} == {int}
+    assert (by_rows._cols.typecode, by_rows._cols.itemsize) == ("i", 4)
     assert model_state(by_rows) == model_state(by_terms)
     assert by_rows.row_table().coefs.dtype == np.int64
     assert export_mps(by_rows) == export_mps(by_terms)

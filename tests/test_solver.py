@@ -135,8 +135,7 @@ PROPAGATION_GOLDEN = {
 }
 
 
-@pytest.mark.parametrize("kind", sorted(PROPAGATION_GOLDEN))
-def test_propagation_golden(kind):
+def propagation_digest(kind):
     rng = random.Random(f"boxes/{kind}")
     digest = hashlib.sha256()
     for model in propagation_programs(kind):
@@ -146,7 +145,12 @@ def test_propagation_golden(kind):
             digest.update(b"1" if feasible else b"0")
             digest.update(lower.tobytes())
             digest.update(upper.tobytes())
-    assert digest.hexdigest() == PROPAGATION_GOLDEN[kind], f"the {kind} propagation changed"
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("kind", sorted(PROPAGATION_GOLDEN))
+def test_propagation_golden(kind):
+    assert propagation_digest(kind) == PROPAGATION_GOLDEN[kind], f"the {kind} propagation changed"
 
 
 def scipy_rows(model):
