@@ -13,11 +13,17 @@ constructive program has no win rows and keeps everyone, the destructive
 one gets an unsatisfiable "dest:impossible" row. Infeasibility of a program
 means the chair's goal is unreachable.
 
-Rows reach the program in two forms: `(name, coef)` term tuples, which an
-alternative block also takes (each alternative a list of `(terms, rhs,
-tag)` rows read as `terms <= rhs`), and, for the 2·n·m² Bucklin points
-rows (`_bucklin_points_rows`), one block of CSR arrays over column indices
-(`LinearProgram.add_rows`).
+Each variable family (the x, and each family of y or z) is declared as
+one block (`LinearProgram.add_variables`). Rows reach the program in two
+forms: `(name, coef)` term tuples, which an alternative block also takes
+(each alternative a list of `(terms, rhs, tag)` rows read as `terms <=
+rhs`), and blocks of CSR arrays over column indices
+(`LinearProgram.add_rows`). The families with a term per voter are built
+as arrays from the rank table `StrictProfile.positions` or the score table
+(the win rows of RE, CE and PE, MME's rival-cap and target-floor rows,
+BEV's score rows) and so are the 2·n·m² Bucklin points rows
+(`_bucklin_points_rows`); every term is in the order a term-by-term
+build would give it.
 
 Constraint tags name the model and the family a row belongs to (e.g.
 "pe:win:c3", "dest:alt:c3"); the test-suite locates rows through them.
@@ -47,6 +53,7 @@ destructive mode).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 from typing import Mapping, Optional
 
 import numpy as np
@@ -123,13 +130,33 @@ def _is_destructive(mode: str) -> bool:
 
 
 def _decision_vars(model: LinearProgram, count: int) -> tuple[str, ...]:
-    """The keep binaries x_1..x_count (voters or candidates) and the
-    objective that keeps as many as possible."""
+    """The keep binaries x_1..x_count (voters or candidates), the model's
+    first columns, and the objective that keeps as many as possible."""
     names = tuple(f"x_{k}" for k in range(1, count + 1))
-    for name in names:
-        model.add_variable(name, BINARY)
-    model.set_objective("max", tuple((name, 1) for name in names))
+    model.add_variables(names, BINARY)
+    model.set_objective("max", zip(names, [1] * count))
     return names
+
+
+def _binaries(model: LinearProgram, prefix: str, keys) -> dict:
+    """Declare one binary per key as one block, named by the prefix and
+    the key's parts joined by `_` (key (2, 3) gives `{prefix}_2_3`), and
+    map each key to its name."""
+    keys = list(keys)
+    names = ["_".join((prefix, *map(str, key))) for key in keys]
+    model.add_variables(names, BINARY)
+    return dict(zip(keys, names))
+
+
+def _array_rows(model, cols, coefs, senses, rhs, tags, keep=True) -> None:
+    """Add one row per line of the 2-D arrays `cols` (column indices) and
+    `coefs`, of the terms where `keep` holds, in line order, as one
+    `add_rows` block. `keep`, and either array, may be anything that
+    broadcasts to the others' shape."""
+    cols, coefs, keep = np.broadcast_arrays(cols, coefs, keep)
+    indptr = np.zeros(len(cols) + 1, dtype=np.int64)
+    np.cumsum(keep.sum(axis=1), out=indptr[1:])
+    model.add_rows(indptr, cols[keep], coefs[keep], senses, rhs, tags)
 
 
 def _impossible(model: LinearProgram, xs) -> None:
@@ -138,22 +165,30 @@ def _impossible(model: LinearProgram, xs) -> None:
     model.add_constraint(tuple((x, 1) for x in xs), "<=", -1, tag="dest:impossible")
 
 
-def _duel_rows(model, xs, family, duels, destructive, big_m=None) -> None:
-    """Rows for per-rival balances `terms` the target wins when positive.
+def _duel_rows(model, xs, family, names, cols, balance, destructive, big_m=None) -> None:
+    """Rows for per-rival balances the target wins when positive: line r
+    of the 2-D arrays `cols` (column indices, which also index the name
+    sequence `names`) and `balance` (their coefficients) is the balance
+    against rival r + 2.
 
-    Constructive: every balance is at least 1 ("{family}:win:c{i}").
-    Destructive: at least one balance is at most 0, through an alternative
-    block with indicator y_{i} per rival i.
+    Constructive: every balance is at least 1 ("{family}:win:c{i}"), as
+    one `add_rows` block. Destructive: at least one balance is at most 0,
+    through an alternative block with indicator y_{i} per rival i.
     """
+    rivals = range(2, len(balance) + 2)
     if not destructive:
-        for i, terms in duels:
-            model.add_constraint(terms, ">=", 1, tag=f"{family}:win:c{i}")
-    elif duels:
+        tags = [f"{family}:win:c{i}" for i in rivals]
+        _array_rows(model, cols, balance, [">="] * len(tags), [1] * len(tags), tags)
+    elif len(balance):
+        cols = np.broadcast_to(cols, balance.shape).tolist()
         add_alternative_block(
             model,
-            [[(terms, 0, f"dest:alt:c{i}")] for i, terms in duels],
+            [
+                [(tuple(zip(map(names.__getitem__, c), b)), 0, f"dest:alt:c{i}")]
+                for i, c, b in zip(rivals, cols, balance.tolist())
+            ],
             big_m=big_m,
-            names=[f"y_{i}" for i, _ in duels],
+            names=[f"y_{i}" for i in rivals],
             pick_tag="dest:pick",
         )
     else:
@@ -165,15 +200,15 @@ def encode_re(scores: ScoreMatrix, mode: str = "constructive") -> EncodedProblem
     the target's total strictly beats every rival's total (constructive) or
     fails to beat some rival's total (destructive)."""
     destructive = _is_destructive(mode)
-    m, n = scores.m, scores.n
+    n = scores.n
     model = LinearProgram("range-control")
     xs = _decision_vars(model, n)
-    duels = [
-        (i, tuple((xs[j], scores.scores[0][j] - scores.scores[i - 1][j]) for j in range(n)))
-        for i in range(2, m + 1)
-    ]
+    try:
+        table = np.array(scores.scores, dtype=np.int64)
+    except OverflowError:
+        table = np.array(scores.scores, dtype=object)
     big_m = n * max(max(row) for row in scores.scores)
-    _duel_rows(model, xs, "re", duels, destructive, big_m)
+    _duel_rows(model, xs, "re", xs, np.arange(n), table[0] - table[1:], destructive, big_m)
     return EncodedProblem(model, xs)
 
 
@@ -185,11 +220,9 @@ def encode_ce(profile: StrictProfile, mode: str = "constructive") -> EncodedProb
     destructive = _is_destructive(mode)
     model = LinearProgram("condorcet-control")
     xs = _decision_vars(model, profile.n)
-    duels = [
-        (i, tuple((x, 1 if p[0] < p[i - 1] else -1) for x, p in zip(xs, profile.positions)))
-        for i in range(2, profile.m + 1)
-    ]
-    _duel_rows(model, xs, "ce", duels, destructive)
+    place = np.array(profile.positions).T
+    balance = np.where(place[0] < place[1:], 1, -1)
+    _duel_rows(model, xs, "ce", xs, np.arange(profile.n), balance, destructive)
     return EncodedProblem(model, xs)
 
 
@@ -206,11 +239,7 @@ def encode_pe(profile: StrictProfile, mode: str = "constructive") -> EncodedProb
     m, n = profile.m, profile.n
     model = LinearProgram("plurality-control")
     xs = _decision_vars(model, m)
-    z = {
-        (i, j): model.add_variable(f"z_{i}_{j}", BINARY)
-        for i in range(1, m + 1)
-        for j in range(1, n + 1)
-    }
+    z = _binaries(model, "z", product(range(1, m + 1), range(1, n + 1)))
     model.add_constraint(((xs[0], 1),), "=", 1, tag="pe:target-kept")
     for i in range(1, m + 1):
         for j, place in enumerate(profile.positions, start=1):
@@ -227,15 +256,12 @@ def encode_pe(profile: StrictProfile, mode: str = "constructive") -> EncodedProb
     for i in range(2, m + 1):
         terms = tuple((z[i, j], 1) for j in range(1, n + 1)) + ((xs[i - 1], -n),)
         model.add_constraint(terms, "<=", 0, tag=f"pe:deleted-no-top:c{i}")
-    duels = [
-        (
-            i,
-            tuple((z[1, j], 1) for j in range(1, n + 1))
-            + tuple((z[i, j], -1) for j in range(1, n + 1)),
-        )
-        for i in range(2, m + 1)
-    ]
-    _duel_rows(model, xs, "pe", duels, destructive)
+    # z_{i}_{j} is column m + (i - 1)·n + j - 1; each duel row holds the
+    # target's z, then the rival's.
+    zcols = np.arange(m, m + m * n).reshape(m, n)
+    cols = np.hstack([np.tile(zcols[0], (m - 1, 1)), zcols[1:]])
+    balance = np.tile(np.repeat([1, -1], n), (m - 1, 1))
+    _duel_rows(model, xs, "pe", xs + tuple(z.values()), cols, balance, destructive)
     return EncodedProblem(model, xs)
 
 
@@ -290,22 +316,27 @@ def encode_mme(profile: StrictProfile, mode: str = "constructive") -> EncodedPro
             pick_tag="dest:pick-rival",
         )
     else:
-        z = {}
-        for i in range(2, m + 1):
-            for k in range(1, m + 1):
-                if k != i:
-                    z[i, k] = model.add_variable(f"z_{i}_{k}", BINARY)
-        for (i, k), zik in z.items():
-            supporters = backers(i, k, 1)
-            # The relaxation constant only has to cover the advantage this
-            # row can reach, which is the number of supporting voters.
-            cap = max(len(supporters), 1)
-            model.add_constraint(
-                supporters + ((zik, cap), (b, -1)),
-                "<=",
-                cap - 1,
-                tag=f"mme:rival-cap:c{i}:c{k}",
-            )
+        pairs = [(i, k) for i in range(2, m + 1) for k in range(1, m + 1) if k != i]
+        z = _binaries(model, "z", pairs)
+        # The columns: x_1..x_n are 0..n - 1, b is n, and the z follow.
+        place = np.array(profile.positions).T
+        rival, other = np.array(pairs, dtype=np.intp).reshape(-1, 2).T - 1
+        # Per pair (i, k) a row of its supporters (the voters preferring i
+        # to k), z_{i}_{k} and b. The relaxation constant only has to cover
+        # the advantage this row can reach, which is the number of
+        # supporting voters.
+        supporters = place[rival] < place[other]
+        cap = np.maximum(supporters.sum(axis=1), 1)
+        z_cols = n + 1 + np.arange(len(pairs))
+        _array_rows(
+            model,
+            np.column_stack([np.tile(np.arange(n), (len(pairs), 1)), z_cols, np.full_like(cap, n)]),
+            np.column_stack([np.ones_like(supporters, dtype=np.int64), cap, -np.ones_like(cap)]),
+            ["<="] * len(pairs),
+            cap - 1,
+            [f"mme:rival-cap:c{i}:c{k}" for i, k in pairs],
+            keep=np.pad(supporters, ((0, 0), (0, 2)), constant_values=True),
+        )
         for i in range(2, m + 1):
             model.add_constraint(
                 tuple((z[i, k], 1) for k in range(1, m + 1) if k != i),
@@ -313,10 +344,16 @@ def encode_mme(profile: StrictProfile, mode: str = "constructive") -> EncodedPro
                 1,
                 tag=f"mme:rival-some:c{i}",
             )
-        for k in range(2, m + 1):
-            model.add_constraint(
-                ((b, 1),) + backers(1, k, -1), "<=", 0, tag=f"mme:target-floor:c{k}"
-            )
+        # Per rival k a row of b and the voters preferring the target to k.
+        _array_rows(
+            model,
+            np.concatenate([[n], np.arange(n)]),
+            np.array([1] + [-1] * n),
+            ["<="] * (m - 1),
+            [0] * (m - 1),
+            [f"mme:target-floor:c{k}" for k in range(2, m + 1)],
+            keep=np.pad(place[0] < place[1:], ((0, 0), (1, 0)), constant_values=True),
+        )
     return EncodedProblem(model, xs)
 
 
@@ -366,24 +403,22 @@ def encode_bev(profile: StrictProfile, mode: str = "constructive") -> EncodedPro
     m, n = profile.m, profile.n
     model = LinearProgram("bucklin-voter-control")
     xs = _decision_vars(model, n)
-    z = {
-        (i, k): model.add_variable(f"z_{i}_{k}", BINARY)
-        for i in range(1, m + 1)
-        for k in range(1, m + 1)
-    }
-
-    def balance(i, k):
-        # Halved majority rows are pre-scaled by 2 to keep coefficients
-        # integral; a voter ranks i in the top k when its 0-based place of i
-        # is below k.
-        terms = tuple((x, -1 if p[i - 1] < k else 1) for x, p in zip(xs, profile.positions))
-        return terms + ((z[i, k], 2 * n),)
-
-    for i, k in z:
-        model.add_constraint(balance(i, k), "<=", 2 * n - 1, tag=f"bev:score-cap:c{i}:k{k}")
-    for i, k in z:
-        if i > 1 or destructive:
-            model.add_constraint(balance(i, k), ">=", 0, tag=f"bev:score-forced:c{i}:k{k}")
+    z = _binaries(model, "z", product(range(1, m + 1), range(1, m + 1)))
+    # Per (i, k) the balance row: each voter's x, then z_{i}_{k} (column
+    # n + m·(i - 1) + k - 1) with 2n. Halved majority rows are pre-scaled by
+    # 2 to keep coefficients integral; a voter ranks i in the top k when its
+    # 0-based place of i is below k.
+    place = np.array(profile.positions).T
+    top = place[:, None, :] < np.arange(1, m + 1)[:, None]
+    coefs = np.full((m * m, n + 1), 2 * n, dtype=np.int64)
+    coefs[:, :n] = np.where(top, -1, 1).reshape(m * m, n)
+    cols = np.column_stack([np.tile(np.arange(n), (m * m, 1)), n + np.arange(m * m)])
+    caps = [f"bev:score-cap:c{i}:k{k}" for i, k in z]
+    _array_rows(model, cols, coefs, ["<="] * len(caps), [2 * n - 1] * len(caps), caps)
+    # The target's rows are forced too only in destructive mode.
+    start = 0 if destructive else m
+    forced = [f"bev:score-forced:c{i}:k{k}" for i, k in list(z)[start:]]
+    _array_rows(model, cols[start:], coefs[start:], [">="] * len(forced), [0] * len(forced), forced)
     if not destructive:
         _bucklin_win_rows(model, z, m, "bev", "k")
     elif m == 1:
@@ -446,17 +481,8 @@ def encode_bec(profile: StrictProfile, mode: str = "constructive") -> EncodedPro
     m, n = profile.m, profile.n
     model = LinearProgram("bucklin-candidate-control")
     xs = _decision_vars(model, m)
-    y = {
-        (j, i, l): model.add_variable(f"y_{j}_{i}_{l}", BINARY)
-        for j in range(1, n + 1)
-        for i in range(1, m + 1)
-        for l in range(1, m + 1)
-    }
-    z = {
-        (i, l): model.add_variable(f"z_{i}_{l}", BINARY)
-        for i in range(1, m + 1)
-        for l in range(1, m + 1)
-    }
+    y = _binaries(model, "y", product(range(1, n + 1), range(1, m + 1), range(1, m + 1)))
+    z = _binaries(model, "z", product(range(1, m + 1), range(1, m + 1)))
     model.add_constraint(((xs[0], 1),), "=", 1, tag="bec:target-kept")
     _bucklin_points_rows(model, profile)
     for i in range(2, m + 1):

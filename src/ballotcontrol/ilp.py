@@ -5,13 +5,21 @@ treated as immutable afterwards. Coefficients, bounds, and right-hand
 sides are plain Python numbers; encoders only produce integers, so
 feasibility checks on rounded assignments are exact. Coefficients must be
 finite and right-hand sides numbers (not NaN). A call that raises leaves
-the model unchanged. A model stores its rows once, by column, which the
-solver, `check_assignment` and the exporters read: each term's column in
-one int32 `array`, its exact coefficient in a list. Rows come in two
-forms only: one at a time as `(name, coef)` terms (`add_constraint`; an
-alternative block takes rows of that form too) or as a block of CSR
-arrays over column indices (`add_rows`). Its `row_table` compiles the
-rows into CSR arrays, and `constraints` is a view.
+the model unchanged.
+
+A model keeps its variables by column: each column's name, kind and
+exact lower and upper bounds in plain lists, and the objective as its
+columns and coefficients. Columns are declared in blocks that share a
+kind and bounds (`add_variables`; `add_variable` declares one). It stores
+its rows once, by term: each term's column in one int32 `array`, its
+exact coefficient in a list. Rows come in two forms only: one at a time
+as `(name, coef)` terms (`add_constraint`; an alternative block takes
+rows of that form too) or as a block of CSR arrays over column indices
+(`add_rows`). Its `row_table` compiles the rows into CSR arrays. The
+solver, `check_assignment` and the exporters read these stores; the
+`variables`, `objective` and `constraints` views build `Variable`,
+`(name, coef)` and `LinearConstraint` items from them on each read, for
+callers outside the library.
 
 Text formats: a five-section LP dialect (Maximize/Minimize, Subject To,
 Bounds, Binaries, Generals, End) that `parse_lp` reads back losslessly
@@ -43,6 +51,18 @@ CONTINUOUS = "continuous"
 SENSES = ("<=", ">=", "=")
 
 
+def _check_variable(name, kind, lower, upper) -> None:
+    """Raise ValueError unless `kind` is known, a binary has bounds [0, 1]
+    and `lower <= upper`, written so that a NaN bound fails. `name` only
+    goes into the message."""
+    if kind not in (BINARY, INTEGER, CONTINUOUS):
+        raise ValueError(f"unknown variable kind {kind!r}")
+    if kind == BINARY and (lower, upper) != (0, 1):
+        raise ValueError("binary variables must have bounds [0, 1]")
+    if not lower <= upper:
+        raise ValueError(f"variable {name}: lower bound exceeds upper bound")
+
+
 @dataclass(frozen=True)
 class Variable:
     name: str
@@ -51,12 +71,7 @@ class Variable:
     upper: Number = 1
 
     def __post_init__(self):
-        if self.kind not in (BINARY, INTEGER, CONTINUOUS):
-            raise ValueError(f"unknown variable kind {self.kind!r}")
-        if self.kind == BINARY and (self.lower, self.upper) != (0, 1):
-            raise ValueError("binary variables must have bounds [0, 1]")
-        if not self.lower <= self.upper:
-            raise ValueError(f"variable {self.name}: lower bound exceeds upper bound")
+        _check_variable(self.name, self.kind, self.lower, self.upper)
 
     @property
     def is_integral(self) -> bool:
@@ -142,14 +157,26 @@ def _check_numbers(values, what, finite=True) -> None:
 
 
 class LinearProgram:
-    """Variables with bounds and integrality, linear constraints, objective."""
+    """Variables with bounds and integrality, linear constraints, objective.
+
+    The variables are kept by column, in declaration order: each column's
+    name (`_index` maps it back to the column), kind and exact lower and
+    upper bounds in plain lists, and the objective as its columns and
+    coefficients. `add_variables` declares a block of columns that share a
+    kind and bounds; `add_variable` declares one. The rows are kept by
+    term (see the module docstring). `variables`, `objective` and
+    `constraints` are views rebuilt from the store on each read."""
 
     def __init__(self, name: str = "model"):
         self.name = name
-        self.variables: list[Variable] = []
         self.objective_sense = "max"
-        self.objective: tuple[tuple[str, Number], ...] = ()
         self._index: dict[str, int] = {}
+        self._names: list[str] = []
+        self._kinds: list[str] = []
+        self._lower: list[Number] = []
+        self._upper: list[Number] = []
+        self._obj_cols: list[int] = []
+        self._obj_coefs: list[Number] = []
         # The rows, in insertion order: each term's column and coefficient
         # as given, and each row's end offset into those, sense, rhs and tag.
         self._cols = array("i")
@@ -160,17 +187,44 @@ class LinearProgram:
         self._tags: list[str] = []
         self._rows: Optional[RowTable] = None
 
-    def add_variable(self, name, kind=CONTINUOUS, lower=0, upper=1) -> str:
-        if name in self._index:
-            raise ValueError(f"variable {name!r} already declared")
-        var = Variable(name, kind, lower, upper)
-        self._index[name] = len(self.variables)
-        self.variables.append(var)
+    def add_variables(self, names, kind=CONTINUOUS, lower=0, upper=1) -> None:
+        """Declare one column per name, in order, each of kind `kind` with
+        bounds [lower, upper]. The kind and bounds are checked once for the
+        block, as `Variable` checks them, and the columns are appended only
+        after every check passes."""
+        names = list(names)
+        _check_variable(names[0] if names else "", kind, lower, upper)
+        start = len(self._names)
+        index = dict(zip(names, range(start, start + len(names))))
+        if len(index) != len(names) or not index.keys().isdisjoint(self._index):
+            # The first name declared before, in the model or in this block.
+            seen = set(self._index)
+            taken = next(name for name in names if name in seen or seen.add(name))
+            raise ValueError(f"variable {taken!r} already declared")
+        self._index.update(index)
+        self._names += names
+        self._kinds += [kind] * len(names)
+        self._lower += [lower] * len(names)
+        self._upper += [upper] * len(names)
         self._rows = None
+
+    def add_variable(self, name, kind=CONTINUOUS, lower=0, upper=1) -> str:
+        self.add_variables((name,), kind, lower, upper)
         return name
 
+    @property
+    def variables(self) -> tuple[Variable, ...]:
+        """The columns as `Variable`s, rebuilt from the store on each read."""
+        return tuple(map(Variable, self._names, self._kinds, self._lower, self._upper))
+
     def variable(self, name: str) -> Variable:
-        return self.variables[self._index[name]]
+        j = self._index[name]
+        return Variable(name, self._kinds[j], self._lower[j], self._upper[j])
+
+    @property
+    def objective(self) -> tuple[tuple[str, Number], ...]:
+        """The objective as `(name, coef)` terms, rebuilt on each read."""
+        return tuple(zip(map(self._names.__getitem__, self._obj_cols), self._obj_coefs))
 
     def _resolve(self, terms, rhs, tag):
         """The columns and coefficients of the row `terms` with right-hand
@@ -231,7 +285,7 @@ class LinearProgram:
         unknown = set(senses).difference(SENSES)
         if unknown:
             raise ValueError(f"unknown constraint sense {min(unknown, key=str)!r}")
-        ncols = len(self.variables)
+        ncols = len(self._names)
         if cols.size and not 0 <= cols.min() <= cols.max() < ncols:
             raise ValueError(f"column index outside 0..{ncols - 1}")
         keys = np.repeat(np.arange(nrows, dtype=np.int64) * ncols, lengths)
@@ -259,7 +313,7 @@ class LinearProgram:
     @property
     def constraints(self) -> tuple[LinearConstraint, ...]:
         """The rows as `LinearConstraint`s, rebuilt from the store on each read."""
-        names = [var.name for var in self.variables]
+        names = self._names
         return tuple(
             LinearConstraint(tuple(zip(map(names.__getitem__, cols), coefs)), sense, rhs, tag)
             for cols, coefs, sense, rhs, tag in self._row_items()
@@ -267,7 +321,7 @@ class LinearProgram:
 
     def row_table(self) -> RowTable:
         """The rows as a `RowTable`, built from the store on the first call
-        and kept until `add_variable`, `add_constraint` or `add_rows`
+        and kept until `add_variables`, `add_constraint` or `add_rows`
         changes the model."""
         if self._rows is None:
             indptr = np.array([0, *self._ends], dtype=np.int32)
@@ -289,24 +343,30 @@ class LinearProgram:
         if sense not in ("max", "min"):
             raise ValueError(f"unknown objective sense {sense!r}")
         terms = tuple(terms)
-        for name, _ in terms:
-            if name not in self._index:
-                raise ValueError(f"objective references undeclared variable {name!r}")
-        if len({name for name, _ in terms}) != len(terms):
+        index = self._index
+        try:
+            cols = [index[name] for name, _ in terms]
+        except KeyError as missing:
+            message = f"objective references undeclared variable {missing.args[0]!r}"
+            raise ValueError(message) from None
+        if len(set(cols)) != len(cols):
             raise ValueError("duplicate variable in objective")
-        _check_numbers([coef for _, coef in terms], "objective coefficient")
+        coefs = [coef for _, coef in terms]
+        _check_numbers(coefs, "objective coefficient")
         self.objective_sense = sense
-        self.objective = terms
+        self._obj_cols = cols
+        self._obj_coefs = coefs
 
     def objective_value(self, values: Mapping[str, Number]) -> Number:
-        return sum(coef * values[name] for name, coef in self.objective)
+        names = self._names
+        return sum(coef * values[names[j]] for j, coef in zip(self._obj_cols, self._obj_coefs))
 
     def expression_box_max(self, terms) -> Number:
         """Largest value the expression can take over the variable box."""
         total = 0
         for name, coef in terms:
-            var = self.variable(name)
-            total += coef * (var.upper if coef > 0 else var.lower)
+            j = self._index[name]
+            total += coef * (self._upper[j] if coef > 0 else self._lower[j])
         return total
 
 
@@ -352,8 +412,7 @@ def add_alternative_block(
             if not m_value < math.inf:
                 raise ValueError(f"alternative {tag!r} has no finite big-M")
             rows.append((terms + ((y, m_value),), rhs + m_value, tag))
-    for name in indicator_names:
-        model.add_variable(name, BINARY)
+    model.add_variables(indicator_names, BINARY)
     for terms, rhs, tag in rows:
         model.add_constraint(terms, "<=", rhs, tag)
     model.add_constraint(tuple((y, 1) for y in indicator_names), ">=", 1, tag=pick_tag)
@@ -392,9 +451,9 @@ def check_assignment(
     the model's `RowTable`; otherwise they are summed in Python. Both give
     the same report, with Python numbers throughout."""
     values = assignment.values
-    for var in model.variables:
-        if var.name not in values:
-            raise ValueError(f"assignment is missing a value for {var.name!r}")
+    missing = next((name for name in model._names if name not in values), None)
+    if missing is not None:
+        raise ValueError(f"assignment is missing a value for {missing!r}")
     found = _check_int64(model, values, feas_tol, int_tol)
     if found is None:
         found = _check_python(model, values, feas_tol, int_tol)
@@ -404,7 +463,7 @@ def check_assignment(
 def _check_python(model, values, feas_tol, int_tol):
     """The violations, integrality and bounds lists of `check_assignment`,
     computed term by term in Python numbers."""
-    point = [values[var.name] for var in model.variables]
+    point = list(map(values.__getitem__, model._names))
     violations = []
     for idx, (cols, coefs, sense, rhs, tag) in enumerate(model._row_items()):
         amount = _violation(sum(coef * point[j] for j, coef in zip(cols, coefs)), sense, rhs)
@@ -412,11 +471,14 @@ def _check_python(model, values, feas_tol, int_tol):
             violations.append((idx, tag, amount))
     integrality = []
     bounds = []
-    for var, value in zip(model.variables, point):
-        if var.is_integral and abs(value - round(value)) > int_tol:
-            integrality.append((var.name, value))
-        if not max(var.lower - value, value - var.upper) <= feas_tol:
-            bounds.append((var.name, value))
+    columns = zip(model._names, model._kinds, model._lower, model._upper, point)
+    for name, kind, lower, upper, value in columns:
+        # A NaN or infinite value has no nearest integer.
+        finite = value == value and abs(value) != math.inf
+        if kind != CONTINUOUS and (not finite or abs(value - round(value)) > int_tol):
+            integrality.append((name, value))
+        if not max(lower - value, value - upper) <= feas_tol:
+            bounds.append((name, value))
     return violations, integrality, bounds
 
 
@@ -429,11 +491,9 @@ def _check_int64(model, values, feas_tol, int_tol):
     table = model.row_table()
     if table.coefs.dtype != np.int64 or not 0 <= int_tol or not math.isfinite(feas_tol):
         return None
-    variables = model.variables
-    point = [values[var.name] for var in variables]
-    lower = [var.lower for var in variables]
-    upper = [var.upper for var in variables]
-    numbers = (point, lower, upper, model._rhs)
+    names = model._names
+    point = list(map(values.__getitem__, names))
+    numbers = (point, model._lower, model._upper, model._rhs)
     if not set(map(type, chain(*numbers))) <= {int}:
         return None
     big = max(map(abs, chain(*numbers)), default=0)
@@ -457,7 +517,7 @@ def _check_int64(model, values, feas_tol, int_tol):
     rows = np.flatnonzero(amount > threshold).tolist()
     violations = [(i, model._tags[i], a) for i, a in zip(rows, amount[rows].tolist())]
     outside = np.flatnonzero(np.maximum(lower - x, x - upper) > threshold).tolist()
-    bounds = [(variables[j].name, point[j]) for j in outside]
+    bounds = [(names[j], point[j]) for j in outside]
     return violations, [], bounds
 
 
@@ -487,8 +547,7 @@ def _sanitized_names(model: LinearProgram) -> list[str]:
     one name are an error."""
     names = []
     seen = set()
-    for var in model.variables:
-        name = var.name
+    for name in model._names:
         clean = name
         if not _CLEAN_NAME_RE.match(name) or name.lower() in _LP_WORDS:
             clean = sanitize_name(name)
@@ -592,11 +651,11 @@ def export_lp(model: LinearProgram) -> str:
     spaced = np.array([f" {name}" for name in names], dtype=object)
     numbers = _NumberText()
     table = model.row_table()
-    obj_cols = np.array([model._index[name] for name, _ in model.objective], dtype=np.intp)
+    obj_cols = np.array(model._obj_cols, dtype=np.intp)
     objective = _lp_rows(
         np.array([0, obj_cols.size]),
         obj_cols,
-        _number_ids([coef for _, coef in model.objective]),
+        _number_ids(model._obj_coefs),
         spaced,
         [" obj: "],
         ["" if obj_cols.size else "0 ZERO_TERMS"],
@@ -611,11 +670,11 @@ def export_lp(model: LinearProgram) -> str:
     del heads, tails
     sense = "Maximize" if model.objective_sense == "max" else "Minimize"
     lines = ["Bounds"]
-    for var, name in zip(model.variables, names):
-        if var.kind != BINARY:
-            lines.append(f" {numbers[var.lower]} <= {name} <= {numbers[var.upper]}")
+    for kind, name, lower, upper in zip(model._kinds, names, model._lower, model._upper):
+        if kind != BINARY:
+            lines.append(f" {numbers[lower]} <= {name} <= {numbers[upper]}")
     for section, kind in (("Binaries", BINARY), ("Generals", INTEGER)):
-        listed = [f" {name}" for var, name in zip(model.variables, names) if var.kind == kind]
+        listed = [f" {name}" for name, k in zip(names, model._kinds) if k == kind]
         if listed:
             lines += [section, *listed]
     lines.append("End")
@@ -749,8 +808,8 @@ def _mps_columns(model: LinearProgram, names, row_fields, numbers) -> str:
     from .solver import _to_csc  # solver imports this module
 
     table = model.row_table()
-    obj_cols = [model._index[name] for name, _ in model.objective]
-    obj_texts = [numbers[coef] for _, coef in model.objective]
+    obj_cols = model._obj_cols
+    obj_texts = [numbers[coef] for coef in model._obj_coefs]
     ids, distinct = _row_number_ids(model)
     texts = np.array(
         [f"{text}\n" for text in [*obj_texts, *map(numbers.__getitem__, distinct), "0"]],
@@ -770,10 +829,10 @@ def _mps_columns(model: LinearProgram, names, row_fields, numbers) -> str:
     heads = np.empty(2 * len(names), dtype=object)
     in_integer_block = False
     markers = 0
-    for j, (var, name) in enumerate(zip(model.variables, names)):
+    for j, (kind, name) in enumerate(zip(model._kinds, names)):
         heads[2 * j] = heads[2 * j + 1] = f"    {name:<9} "
-        if var.is_integral != in_integer_block:
-            in_integer_block = var.is_integral
+        if (kind != CONTINUOUS) != in_integer_block:
+            in_integer_block = kind != CONTINUOUS
             markers += 1
             heads[2 * j + 1] = f"{_mps_marker(markers, in_integer_block)}\n{heads[2 * j]}"
     # Every column has an entry; its first one takes the head with the marker.
@@ -821,14 +880,14 @@ def export_mps(model: LinearProgram) -> str:
         if rhs != 0:
             tail.append(f"    RHS       {field}{numbers[rhs]}")
     tail.append("BOUNDS")
-    for var, column in zip(model.variables, names):
-        if var.kind == BINARY:
+    for kind, column, lower, upper in zip(model._kinds, names, model._lower, model._upper):
+        if kind == BINARY:
             tail.append(f" BV BND       {column}")
-        elif var.kind == INTEGER:
-            tail.append(f" LI BND       {column:<9} {numbers[var.lower]}")
-            tail.append(f" UI BND       {column:<9} {numbers[var.upper]}")
+        elif kind == INTEGER:
+            tail.append(f" LI BND       {column:<9} {numbers[lower]}")
+            tail.append(f" UI BND       {column:<9} {numbers[upper]}")
         else:
-            tail.append(f" LO BND       {column:<9} {numbers[var.lower]}")
-            tail.append(f" UP BND       {column:<9} {numbers[var.upper]}")
+            tail.append(f" LO BND       {column:<9} {numbers[lower]}")
+            tail.append(f" UP BND       {column:<9} {numbers[upper]}")
     tail.append("ENDATA")
     return "".join([*(f"{line}\n" for line in lines), columns, *(f"{line}\n" for line in tail)])

@@ -65,7 +65,7 @@ from typing import Optional
 
 import numpy as np
 
-from .ilp import Assignment, LinearProgram, check_assignment
+from .ilp import CONTINUOUS, Assignment, LinearProgram, check_assignment
 
 
 class SolverError(RuntimeError):
@@ -201,22 +201,21 @@ class _StandardForm:
 
 
 def _standard_form(model: LinearProgram) -> _StandardForm:
-    """The standard form of `model`, its columns in the order of
-    `model.variables`."""
-    variables = model.variables
-    if not variables:
+    """The standard form of `model`, its columns in the model's column
+    order."""
+    ncols = len(model._names)
+    if not ncols:
         raise ValueError("model has no variables")
-    lower = np.array([float(v.lower) for v in variables])
-    upper = np.array([float(v.upper) for v in variables])
+    lower = np.fromiter(map(float, model._lower), float, ncols)
+    upper = np.fromiter(map(float, model._upper), float, ncols)
     if not (np.all(np.isfinite(lower)) and np.all(np.isfinite(upper))):
         raise ValueError("the solver requires finite variable bounds")
-    integral = np.array([v.is_integral for v in variables], dtype=bool)
+    integral = np.array(model._kinds) != CONTINUOUS
     sign = 1.0 if model.objective_sense == "max" else -1.0
-    terms = model.objective
-    obj_cols = np.fromiter((model._index[name] for name, _ in terms), np.intp, len(terms))
-    obj = np.zeros(len(variables))
+    obj_cols = np.array(model._obj_cols, dtype=np.intp)
+    obj = np.zeros(ncols)
     # `set_objective` admits each variable once, so no column repeats.
-    obj[obj_cols] += np.fromiter((float(coef) for _, coef in terms), float, len(terms))
+    obj[obj_cols] += np.fromiter(map(float, model._obj_coefs), float, obj_cols.size)
     table = model.row_table()
     data = table.coefs.astype(float)
     bound = np.array(model._rhs, dtype=float)
@@ -227,7 +226,7 @@ def _standard_form(model: LinearProgram) -> _StandardForm:
         integral,
         sign,
         sign * obj,
-        _objective_is_integral(model.objective, integral[obj_cols]),
+        _objective_is_integral(model._obj_coefs, integral[obj_cols]),
         _entries_where((table.indptr, table.indices, data), data != 0),
         np.where(senses != "<=", bound, -np.inf),
         np.where(senses != ">=", bound, np.inf),
@@ -535,19 +534,18 @@ def solve_lp_relaxation(model: LinearProgram) -> LpOutcome:
     status, x, value = _lp_solver(sf)(sf.lower, sf.upper)
     if status != "optimal":
         return LpOutcome("infeasible", None, None)
-    point = {v.name: float(xj) for v, xj in zip(model.variables, x)}
+    point = dict(zip(model._names, x.tolist()))
     return LpOutcome("optimal", sf.sign * value, point)
 
 
-def _objective_is_integral(terms, integral) -> bool:
-    """Whether the objective `terms` takes only integral values at integral
-    points: `integral[k]` tells whether the column of term k is integral;
-    each must be, and each coefficient must be a `Fraction` with
-    denominator 1 or a number `c` with `float(c) == int(c)`, which every
-    `int` of magnitude at most 2**53 is."""
+def _objective_is_integral(coefs, integral) -> bool:
+    """Whether the objective with coefficients `coefs` takes only integral
+    values at integral points: `integral[k]` tells whether the column of
+    term k is integral; each must be, and each coefficient must be a
+    `Fraction` with denominator 1 or a number `c` with `float(c) ==
+    int(c)`, which every `int` of magnitude at most 2**53 is."""
     if not integral.all():
         return False
-    coefs = [coef for _, coef in terms]
     whole = set(map(type, coefs)) <= {int}
     if whole and -(2**53) <= min(coefs, default=0) and max(coefs, default=0) <= 2**53:
         return True
@@ -701,8 +699,7 @@ def solve(model: LinearProgram, config: Optional[SolverConfig] = None) -> SolveR
         values = np.empty(original.ncols, dtype=object)
         values[:] = point.tolist()
         values[original.integral] = np.rint(point[original.integral]).astype(np.int64).tolist()
-        names = [v.name for v in model.variables]
-        assignment = Assignment(dict(zip(names, values.tolist())))
+        assignment = Assignment(dict(zip(model._names, values.tolist())))
         report = check_assignment(
             model, assignment, FEASIBILITY_TOL, INTEGRALITY_TOL
         )

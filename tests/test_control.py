@@ -7,7 +7,9 @@ from ballotcontrol import (
     ControlSpec,
     Election,
     LinearConstraint,
+    LinearProgram,
     SolverConfig,
+    Variable,
     brute_force_control,
     solve_control,
 )
@@ -135,15 +137,9 @@ def test_random_targets_agree_with_oracle(seed):
     )
 
 
-def test_no_linear_constraint_is_built_while_solving(monkeypatch):
-    """Programs are built from term tuples and arrays alone:
-    `LinearConstraint` is only the item type of the `constraints` view."""
-
-    def refuse(self):
-        raise AssertionError(f"LinearConstraint built on the solve path: {self.tag!r}")
-
-    monkeypatch.setattr(LinearConstraint, "__post_init__", refuse)
-    rng = random.Random("no constraint objects")
+def solve_everything_small(rng):
+    """Solve every rule, action and mode at four small sizes, each answer
+    equal to the brute-force oracle's."""
     for (rule, action), mode in itertools.product(sorted(SUPPORTED_CONTROL_PAIRS), MODES):
         for n, m in ((1, 1), (3, 2), (4, 3), (5, 4)):
             if rule == "range":
@@ -157,3 +153,31 @@ def test_no_linear_constraint_is_built_while_solving(monkeypatch):
                 oracle.status,
                 oracle.objective,
             )
+
+
+def test_no_linear_constraint_is_built_while_solving(monkeypatch):
+    """Programs are built from term tuples and arrays alone:
+    `LinearConstraint` is only the item type of the `constraints` view."""
+
+    def refuse(self):
+        raise AssertionError(f"LinearConstraint built on the solve path: {self.tag!r}")
+
+    monkeypatch.setattr(LinearConstraint, "__post_init__", refuse)
+    solve_everything_small(random.Random("no constraint objects"))
+
+
+def test_no_variable_is_built_while_solving(monkeypatch):
+    """Variables are declared and read by column: `Variable` is only the
+    item type of the `variables` view, and no library path reads it or the
+    `objective` view."""
+
+    def refuse(self):
+        raise AssertionError(f"Variable built on the solve path: {self.name!r}")
+
+    def refuse_view(model):
+        raise AssertionError(f"a view of {model.name!r} read on the solve path")
+
+    monkeypatch.setattr(Variable, "__post_init__", refuse)
+    monkeypatch.setattr(LinearProgram, "variables", property(refuse_view))
+    monkeypatch.setattr(LinearProgram, "objective", property(refuse_view))
+    solve_everything_small(random.Random("no variable objects"))

@@ -178,6 +178,19 @@ class TestCheckAssignment:
         assert [name for name, _ in report.bounds] == ["u"]
         assert not report.ok
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("kind, upper", [("binary", 1), ("integer", 5)])
+    def test_nan_or_infinite_integral_value_is_reported(self, kind, upper, value):
+        """An integral column's NaN or infinite value has no nearest
+        integer: it is an integrality and a bound violation, not an error."""
+        model = LinearProgram()
+        model.add_variable("x", kind, 0, upper)
+        model.set_objective("max", [("x", 1)])
+        report = check_assignment(model, Assignment({"x": value}), feas_tol=1e-6, int_tol=1e-6)
+        assert [name for name, _ in report.integrality] == ["x"]
+        assert [name for name, _ in report.bounds] == ["x"]
+        assert not report.ok
+
 
 @pytest.mark.parametrize("coef, rhs", [(math.nan, 0), (math.inf, 0), (1, math.nan)])
 @pytest.mark.parametrize("form", ["terms", "rows", "arrays"])
@@ -417,13 +430,31 @@ REJECTED = {
     "rows-nan-coef": (rows_call([0, 1, 2], [0, 1], [1, math.nan]), ValueError),
     "rows-infinite-coef": (rows_call([0, 1, 2], [0, 1], [1, math.inf]), ValueError),
     "rows-nan-rhs": (rows_call([0, 1, 2], [0, 1], [1, 1], rhs=(1, math.nan)), ValueError),
+    # add_variables blocks whose last name or whose shared kind or bounds are bad.
+    "variables-repeated": (lambda model: model.add_variables(["w", "v", "w"]), ValueError),
+    "variables-taken": (lambda model: model.add_variables(["w", "z"], "integer", 0, 3), ValueError),
+    "variables-kind": (lambda model: model.add_variables(["w", "v"], "boolean"), ValueError),
+    "variables-binary-bounds": (
+        lambda model: model.add_variables(["w", "v"], "binary", 0, 2),
+        ValueError,
+    ),
+    "variables-crossed-bounds": (
+        lambda model: model.add_variables(["w", "v"], "integer", 3, 1),
+        ValueError,
+    ),
+    "variables-nan-bound": (
+        lambda model: model.add_variables(["w", "v"], "continuous", 0, math.nan),
+        ValueError,
+    ),
 }
 
 
 def model_state(model):
     table = model.row_table()
     arrays = [(a.dtype, a.tolist()) for a in (table.indptr, table.indices, table.coefs)]
-    return list(model.variables), model.constraints, arrays, export_lp(model), model.objective
+    store = [model._index, model._names, model._kinds, model._lower, model._upper]
+    views = list(model.variables), model.constraints, model.objective
+    return (*views, arrays, export_lp(model), store)
 
 
 @pytest.mark.parametrize("case", sorted(REJECTED))
@@ -853,6 +884,33 @@ def test_add_rows_matches_add_constraint():
     assert export_mps(by_rows) == export_mps(by_terms)
     assert_oracle_exports(by_rows)
     assert solve(by_rows).objective == solve(by_terms).objective
+
+
+def test_add_variables_matches_add_variable():
+    """One `add_variables` call per family gives the store, row table and
+    exports that declaring each name with `add_variable` gives."""
+    families = [
+        (["x_1", "x_2", "x_3"], "binary", 0, 1),
+        (["b"], "integer", 1, 3),
+        (["u_1", "u_2"], "continuous", Fraction(-1, 2), 2.5),
+    ]
+    by_block, by_name = LinearProgram("block"), LinearProgram("block")
+    for names, kind, lower, upper in families:
+        by_block.add_variables(names, kind, lower, upper)
+        for name in names:
+            assert by_name.add_variable(name, kind, lower, upper) == name
+    for model in (by_block, by_name):
+        model.set_objective("min", [("u_2", 3), ("x_1", 1), ("b", -2)])
+        coefs = [1, 2, Fraction(1, 3), 1, -1]
+        model.add_rows([0, 3, 5], [0, 3, 4, 5, 1], coefs, ["<=", "="], [4, 0], ["a", ""])
+        model.add_constraint([("u_1", 1), ("x_3", 2)], ">=", 1, "c")
+    assert model_state(by_block) == model_state(by_name)
+    assert export_mps(by_block) == export_mps(by_name)
+    assert_oracle_exports(by_block)
+    assert by_block.variables[3] == ilp.Variable("b", "integer", 1, 3)
+    assert by_block.variable("u_1") == ilp.Variable("u_1", "continuous", Fraction(-1, 2), 2.5)
+    by_block.add_variables([])
+    assert model_state(by_block) == model_state(by_name)
 
 
 def test_add_rows_takes_empty_blocks_and_plain_sequences():
