@@ -55,6 +55,7 @@ import heapq
 import importlib.machinery
 import importlib.util
 import math
+import numbers
 import sys
 import time
 from dataclasses import dataclass, replace
@@ -74,18 +75,24 @@ class SolverError(RuntimeError):
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Search limits. A search explores at most `node_limit` nodes: each
-    branching expands two, so it stops one node short of an even limit.
-    `time_limit` is in wall-clock seconds."""
+    """Search limits. A search explores at most `node_limit` nodes, an
+    integer (Python or numpy) of at least 1: each branching expands two,
+    so it stops one node short of an even limit. `time_limit` is a
+    positive real number of wall-clock seconds. Neither may be a bool."""
 
     node_limit: Optional[int] = None
     time_limit: Optional[float] = None
 
     def __post_init__(self):
-        if self.node_limit is not None and not self.node_limit >= 1:
-            raise ValueError("node limit must be positive")
-        if self.time_limit is not None and not self.time_limit > 0:
-            raise ValueError("time limit must be positive")
+        node, seconds = self.node_limit, self.time_limit
+        if node is not None and not (
+            isinstance(node, numbers.Integral) and not isinstance(node, bool) and node >= 1
+        ):
+            raise ValueError(f"node limit must be an integer of at least 1, got {node!r}")
+        if seconds is not None and not (
+            isinstance(seconds, numbers.Real) and not isinstance(seconds, bool) and seconds > 0
+        ):
+            raise ValueError(f"time limit must be a positive number of seconds, got {seconds!r}")
 
 
 @dataclass(frozen=True)
@@ -140,12 +147,14 @@ class _StandardForm:
     row has `row_lower = -inf`, a `>=` row `row_upper = +inf`, and an `=`
     row its right-hand side on both. HiGHS gets the rows in this
     two-sided form, and `propagation_data` writes them once more in the
-    one-sided form `A @ x <= b`. The columns have finite boxes
-    `lower`/`upper`, and `obj` is the objective, internally always
-    maximized; `integral_objective` tells whether it takes only integral
-    values at integral points (`_objective_is_integral`). The merged form
-    of `_merge_columns` shares `row_lower` and `row_upper` with the form it
-    is derived from; the search writes no array of either.
+    one-sided form `A @ x <= b`, with the positive and the negative
+    entries apart over the bound vector `[upper; lower]`. The columns have
+    finite boxes `lower`/`upper`, and `obj` is the objective, internally
+    always maximized; `integral_objective` tells whether it takes only
+    integral values at integral points (`_objective_is_integral`). The
+    merged form of `_merge_columns` shares `row_lower` and `row_upper`
+    with the form it is derived from; the search writes no array of
+    either.
     """
 
     lower: np.ndarray
@@ -174,18 +183,40 @@ class _StandardForm:
 
     @cached_property
     def propagation_data(self):
-        """The rows as `A @ x <= b` for `_propagate`: the rows bounded
-        above, then the negated rows bounded below, each with its entries
-        in term order, so a `>=` row is negated and an `=` row appears both
-        ways, with `b = [row_upper; -row_lower]` on the same rows. Holds
-        `b`, the positive and the negative entries of `A` as plain CSR
-        arrays `(indptr, indices, data)` of its shape, and `_by_column` of
-        each. The rows are gathered and grouped by column with the kernels
-        `scipy.sparse` itself uses for that."""
+        """The rows as `A @ x <= b` for `_propagate`, over the bound
+        vector `[upper; lower]` of length 2n.
+
+        `A` stacks the rows bounded above, then the negated rows bounded
+        below, so a `>=` row is negated and an `=` row appears both ways,
+        with `b = [row_upper; -row_lower]`; `threshold` is `b + 1e-7`. A
+        row's minimum activity reads its positive entries at their lower
+        bounds and its negative entries at their upper bounds, so `rows`
+        holds the CSR arrays `(indptr, indices, data)` of `[P; N]`, 2r rows
+        over 2n columns: P has each positive entry at column n + j, N each
+        negative entry at column j, and every row its entries in term
+        order. One product over the bound vector gives both sums of each
+        row, each summed as a product over P or N alone would sum it.
+
+        `caps` holds the same entries grouped by the column they read,
+        each column's by row, through the kernel `scipy.sparse` uses for
+        that: first the `split` entries of N (column j, reading `upper_j`,
+        capping `lower_j`), then those of P (column n + j, reading
+        `lower_j`, capping `upper_j`). Per entry it holds the row of `b`,
+        the column read and the coefficient; per column with entries, the
+        first of them and the bound capped, as an index into the signed
+        vector `[upper; -lower]`. Rows, columns and starts are `np.intp`,
+        which numpy would otherwise convert to on every fancy index. All
+        of it takes 36 bytes per entry.
+
+        `sign` is +1 on the n upper bounds and -1 on the n lower ones, so
+        `bounds * sign` converts between the two vectors; `offset` is
+        +1e-6 and -1e-6 on them, and `integral` tells the integral ones.
+        """
+        n = self.ncols
         above = np.flatnonzero(np.isfinite(self.row_upper))
         below = np.flatnonzero(np.isfinite(self.row_lower))
         picked = np.concatenate((above, below)).astype(np.int32)
-        b_ub = np.concatenate((self.row_upper[above], -self.row_lower[below]))
+        b = np.concatenate((self.row_upper[above], -self.row_lower[below]))
         stacked = np.zeros(picked.size + 1, dtype=np.int32)
         np.cumsum(np.diff(self.rows[0])[picked], out=stacked[1:])
         indices = np.empty(stacked[-1], dtype=np.int32)
@@ -197,7 +228,39 @@ class _StandardForm:
         data[head:] = -data[head:]
         pos = _entries_where((stacked, indices, data), data > 0)
         neg = _entries_where((stacked, indices, data), data < 0)
-        return b_ub, pos, neg, _by_column(pos, self.ncols), _by_column(neg, self.ncols)
+        # Each step's inputs are dropped once its output is built, so the
+        # build peaks at about what the arrays it returns hold.
+        del stacked, indices, data
+        rows = (
+            np.concatenate((pos[0], neg[0][1:] + pos[0][-1])),
+            np.concatenate((pos[1] + n, neg[1])),
+            np.concatenate((pos[2], neg[2])),
+        )
+        del pos, neg
+        colptr, row_of, coef = _to_csc(rows, 2 * n)
+        split = int(colptr[n])
+        entry_rows = row_of.astype(np.intp)
+        del row_of
+        entry_rows[:split] -= picked.size
+        counts = np.diff(colptr)
+        ucols = np.flatnonzero(counts)
+        caps = (
+            entry_rows,
+            np.repeat(np.arange(2 * n), counts),
+            coef,
+            colptr[ucols].astype(np.intp),
+            np.where(ucols < n, ucols + n, ucols - n),
+            split,
+        )
+        return (
+            b,
+            b + 1e-7,
+            rows,
+            caps,
+            np.repeat((1.0, -1.0), n),
+            np.repeat((1e-6, -1e-6), n),
+            np.concatenate((self.integral, self.integral)),
+        )
 
 
 def _standard_form(model: LinearProgram) -> _StandardForm:
@@ -264,19 +327,6 @@ def _to_csc(rows, ncols):
         indptr.size - 1, ncols, indptr, indices, data, colptr, row_of, values
     )
     return colptr, row_of, values
-
-
-def _by_column(rows, ncols):
-    """The entries of the CSR arrays `rows` sorted by column, then row, so
-    that `_propagate` can reduce them per column by segments: the row,
-    column and value of each entry, the first entry of each non-empty
-    column, and those columns. Rows and starts are `np.intp`, which numpy
-    would otherwise convert to on every fancy index."""
-    colptr, row_of, values = _to_csc(rows, ncols)
-    counts = np.diff(colptr)
-    ucols = np.flatnonzero(counts)
-    cols = np.repeat(np.arange(ncols), counts)
-    return row_of.astype(np.intp), cols, values, colptr[ucols].astype(np.intp), ucols
 
 
 def _merge_columns(sf: _StandardForm):
@@ -384,52 +434,77 @@ def _propagate(sf: _StandardForm, lower, upper) -> bool:
     `x_j` from above at `lower_j + slack / a_j`, a negative one from below
     at `upper_j + slack / a_j`. Negating a row is exact in floating point,
     so this derives bit for bit the bounds that the maximum activity of the
-    `>=` rows would. Bounds of integral variables are rounded to integers,
-    and passes repeat until a fixpoint, for at most 50 passes. Tightens
-    `lower`/`upper` in place; returns False when the node is proven
-    infeasible. Preserves every integral-feasible point, so node dual
-    bounds stay valid.
+    `>=` rows would. Bounds of integral variables are rounded to integers
+    (`floor(upper + 1e-6)`, `ceil(lower - 1e-6)`), and passes repeat until
+    a fixpoint, for at most 50 passes. Tightens `lower`/`upper` in place;
+    returns False when the node is proven infeasible, leaving the bounds
+    the last completed pass left. Preserves every integral-feasible point,
+    so node dual bounds stay valid.
+
+    A pass holds the bounds as `[upper; lower]` for the product and the
+    gather, and as the signed `[upper; -lower]`, on which every cap is an
+    upper cap, for the rest: one product gives every activity, one
+    division and one gather every cap, one `np.minimum.reduceat` the
+    tightest cap of each bound and one masked `floor` every rounding,
+    where the positive and negative entries apart would take two of each.
+    The bounds are bit for bit those of the two-sided pass, signed zeros
+    included. Negation is exact. A cap is computed as `bound + slack / a`,
+    as the two-sided pass does, and a lower bound's cap is negated after
+    the sum: `(-u) - slack / a` would be +0 where `-(u + slack / a)` is -0.
+    `np.minimum` and `np.maximum` break ties between +0 and -0 alike, so
+    `min(-p, -q)` is `-max(p, q)`. A lower bound is rounded as `-floor(-(l -
+    1e-6))`, which is `ceil(l - 1e-6)`; `floor(-l + 1e-6)` would give -0
+    where that is +0, at `l = 1e-6`.
     """
-    integral = sf.integral
     if sf.nrows == 0:
         # Nothing to propagate, but the integral bounds are rounded as a
         # pass rounds them; only bounds that tighten are written.
+        integral = sf.integral
         low, high = np.ceil(lower - 1e-6), np.floor(upper + 1e-6)
         np.copyto(lower, low, where=integral & (low > lower))
         np.copyto(upper, high, where=integral & (high < upper))
         return not np.any(lower > upper + 1e-9)
-    b_ub, pos, neg, caps_above, caps_below = sf.propagation_data
-    if np.any(lower > upper + _TOL):
+    b, threshold, rows, caps, sign, offset, integral = sf.propagation_data
+    if (lower > upper + _TOL).any():
         return False
+    entry_rows, cols, coef, starts, targets, split = caps
+    n, r = sf.ncols, b.size
+    indptr, indices, data = rows
+    matvec = _scipy_extension("sparse._sparsetools").csr_matvec
+    natural = np.concatenate((upper, lower))
+    bounds = natural * sign
+    feasible = True
     for _ in range(50):
-        minact = _matvec(pos, lower) + _matvec(neg, upper)
-        if np.any(minact > b_ub + 1e-7):
-            return False
-        slack = b_ub - minact
-        new_upper = upper.copy()
-        new_lower = lower.copy()
-        rows, cols, coef, starts, ucols = caps_above
-        if ucols.size:
-            cand = lower[cols] + slack[rows] / coef
-            seg = np.minimum.reduceat(cand, starts)
-            new_upper[ucols] = np.minimum(new_upper[ucols], seg)
-        rows, cols, coef, starts, ucols = caps_below
-        if ucols.size:
-            cand = upper[cols] + slack[rows] / coef
-            seg = np.maximum.reduceat(cand, starts)
-            new_lower[ucols] = np.maximum(new_lower[ucols], seg)
-        new_upper[integral] = np.floor(new_upper[integral] + 1e-6)
-        new_lower[integral] = np.ceil(new_lower[integral] - 1e-6)
-        np.minimum(upper, new_upper, out=new_upper)
-        np.maximum(lower, new_lower, out=new_lower)
-        if np.any(new_lower > new_upper + 1e-9):
-            return False
-        changed = np.any(upper - new_upper > 1e-9) or np.any(new_lower - lower > 1e-9)
-        upper[:] = new_upper
-        lower[:] = new_lower
+        act = np.zeros(2 * r)
+        matvec(2 * r, 2 * n, indptr, indices, data, natural, act)
+        minact = act[:r] + act[r:]
+        if (minact > threshold).any():
+            feasible = False
+            break
+        cand = (b - minact)[entry_rows]
+        cand /= coef
+        cand += natural[cols]
+        np.negative(cand[:split], out=cand[:split])
+        new = bounds.copy()
+        # A form with no entries has no caps; `reduceat` needs at least one.
+        if starts.size:
+            new[targets] = np.minimum(new[targets], np.minimum.reduceat(cand, starts))
+        rounded = new * sign
+        rounded += offset
+        rounded *= sign
+        np.floor(rounded, out=new, where=integral)
+        np.minimum(bounds, new, out=new)
+        new_natural = new * sign
+        if (new_natural[n:] > new_natural[:n] + 1e-9).any():
+            feasible = False
+            break
+        changed = (bounds - new).max() > 1e-9
+        bounds, natural = new, new_natural
         if not changed:
             break
-    return True
+    upper[:] = natural[:n]
+    lower[:] = natural[n:]
+    return feasible
 
 
 def _scipy_extension(name: str):

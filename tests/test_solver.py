@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.sparse import csr_matrix, vstack
+from scipy.sparse import csr_matrix, hstack, vstack
 
 from ballotcontrol import solver as solver_module
 from ballotcontrol import (
@@ -172,26 +172,43 @@ def scipy_rows(model):
 
 
 def scipy_propagation_data(sf, matrix):
-    """`propagation_data` built through `scipy.sparse`: stacked rows,
-    entries split by sign, and columns ordered through `tocsc`."""
+    """`propagation_data` built through `scipy.sparse`: the stacked rows
+    split by sign into P (positive entries, moved to column n + j) over N
+    (negative entries), and the caps grouped by column through `tocsc`."""
+    n = sf.ncols
     above, below = np.isfinite(sf.row_upper), np.isfinite(sf.row_lower)
     stacked = vstack((matrix[above], -matrix[below]), format="csr")
-    b_ub = np.concatenate((sf.row_upper[above], -sf.row_lower[below]))
+    b = np.concatenate((sf.row_upper[above], -sf.row_lower[below]))
     pos, neg = stacked.copy(), stacked
     pos.data[pos.data < 0] = 0.0
     neg.data[neg.data > 0] = 0.0
     pos.eliminate_zeros()
     neg.eliminate_zeros()
-
-    def by_column(part):
-        csc = part.tocsc()
-        counts = np.diff(csc.indptr)
-        ucols = np.flatnonzero(counts)
-        cols = np.repeat(np.arange(csc.shape[1]), counts)
-        return csc.indices, cols, csc.data, csc.indptr[ucols], ucols
-
-    parts = [(p.indptr, p.indices, p.data) for p in (pos, neg)]
-    return (b_ub, *parts, by_column(pos), by_column(neg))
+    empty = csr_matrix(pos.shape)
+    signed = vstack(
+        (hstack((empty, pos), format="csr"), hstack((neg, empty), format="csr")), format="csr"
+    )
+    csc = signed.tocsc()
+    counts = np.diff(csc.indptr)
+    ucols = np.flatnonzero(counts)
+    rows = np.where(csc.indices < b.size, csc.indices, csc.indices - b.size)
+    caps = (
+        rows,
+        np.repeat(np.arange(2 * n), counts),
+        csc.data,
+        csc.indptr[ucols],
+        np.where(ucols < n, ucols + n, ucols - n),
+        csc.indptr[n],
+    )
+    return (
+        b,
+        b + 1e-7,
+        (signed.indptr, signed.indices, signed.data),
+        caps,
+        np.concatenate((np.ones(n), -np.ones(n))),
+        np.concatenate((np.full(n, 1e-6), np.full(n, -1e-6))),
+        np.concatenate((sf.integral, sf.integral)),
+    )
 
 
 def assert_same_arrays(got, want):
@@ -199,6 +216,8 @@ def assert_same_arrays(got, want):
     for g, w in zip(got, want, strict=True):
         if isinstance(g, tuple):
             assert_same_arrays(g, w)
+        elif isinstance(g, int):
+            assert g == w
         else:
             assert g.shape == np.shape(w)
             assert g.tobytes() == np.asarray(w, dtype=g.dtype).tobytes()
@@ -592,9 +611,31 @@ class TestSolve:
             {"time_limit": 0},
             {"node_limit": float("nan")},
             {"time_limit": float("nan")},
+            {"node_limit": True},
+            {"node_limit": False},
+            {"node_limit": np.True_},
+            {"node_limit": 2.5},
+            {"node_limit": 3.0},
+            {"node_limit": float("inf")},
+            {"node_limit": np.int64(0)},
+            {"node_limit": "5"},
+            {"time_limit": True},
+            {"time_limit": np.True_},
+            {"time_limit": -1},
+            {"time_limit": "5"},
         ):
             with pytest.raises(ValueError):
                 SolverConfig(**limits)
+        for limits in (
+            {"node_limit": 1},
+            {"node_limit": np.int64(20)},
+            {"node_limit": np.int32(3)},
+            {"time_limit": 1},
+            {"time_limit": 0.5},
+            {"time_limit": np.float64(2.0)},
+            {"time_limit": float("inf")},
+        ):
+            SolverConfig(**limits)
 
     def test_warm_and_cold_agree_on_ip(self):
         rng = random.Random(55)
