@@ -37,7 +37,7 @@ from .control import build_problem, solve_control
 from .core import ACTIONS, MODES, RULES, SUPPORTED_CONTROL_PAIRS, ControlSpec, Election
 from .ilp import export_lp, export_mps
 from .oracle import OracleLimitError, brute_force_control
-from .preflib import PrefLibParseError, expand_scores, expand_voters, parse_preflib
+from .preflib import PrefLibParseError, _parse_int, expand_scores, expand_voters, parse_preflib
 from .rules import winner_for_rule
 from .solver import SolverConfig
 
@@ -87,9 +87,9 @@ def _parse_score_csv(text: str) -> Election:
     if not lines:
         raise CliError(EXIT_PARSE, "empty score file")
     try:
-        n = int(lines[0].split(",")[0])
-        rows = [tuple(int(tok) for tok in line.split(",")) for line in lines[1:]]
-    except ValueError as exc:
+        n = _parse_int(lines[0].split(",")[0], "voter count")
+        rows = [tuple(_parse_int(tok, "score") for tok in line.split(",")) for line in lines[1:]]
+    except PrefLibParseError as exc:
         raise CliError(EXIT_PARSE, f"malformed score matrix: {exc}") from exc
     if not rows or any(len(row) != n for row in rows):
         raise CliError(EXIT_PARSE, f"score rows must all have {n} entries")

@@ -4,17 +4,23 @@ Candidates and voters are identified positionally with 1-based indices:
 an election holds its candidates' display names, in index order, and its
 voters as the range 1..n. All types are immutable after construction and
 every operation is a pure function, so values can be shared freely across
-threads. The one cached value, `StrictProfile.positions`, is a
-deterministic function of the rankings: two threads that both compute it
-store equal tables, so sharing a profile stays safe.
+threads.
+
+A strict profile keeps one record of its distinct ballots
+(`BallotRecord`), built with its checks in `__post_init__`, so nothing is
+computed lazily and no cache needs a lock: the per-ballot work (checks,
+candidate places, relabeling, restriction and the rules' tallies) runs
+once per distinct ballot, and per voter only an index into the record is
+kept. A tied profile keeps its distinct tie-group tuples the same way.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from functools import cached_property
+from dataclasses import dataclass, field, replace
 from numbers import Integral
 from typing import Iterable, Union
+
+import numpy as np
 
 RULES = ("range", "condorcet", "plurality", "maximin", "bucklin")
 ACTIONS = ("delete-voters", "delete-candidates")
@@ -39,38 +45,121 @@ def _integral(rows) -> bool:
     return all(issubclass(t, Integral) for t in {type(x) for row in rows for x in row})
 
 
-@dataclass(frozen=True)
-class StrictProfile:
-    """One complete strict ranking per voter, most preferred first."""
+def _frozen(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
+
+def _by_identity(ballots) -> tuple[list, np.ndarray]:
+    """`ballots`' distinct objects, told apart by identity, in order of
+    first voter, and each voter's index into them as an `np.intp` array.
+    Nothing is hashed but the objects' ids."""
+    first = dict(zip(map(id, ballots), ballots))
+    number = dict(zip(first, range(len(first))))
+    index = np.fromiter(map(number.__getitem__, map(id, ballots)), np.intp, len(ballots))
+    return list(first.values()), index
+
+
+def _by_value(ballots, index) -> tuple[list, np.ndarray]:
+    """Merge equal `ballots`, distinct objects in order of first voter
+    (hashing each once): their distinct values, each kept as its first
+    object, and `index` mapped onto them. The order of first voter holds."""
+    values: dict = {}
+    merged = [values.setdefault(b, len(values)) for b in ballots]
+    if len(values) < len(ballots):
+        index = np.array(merged, dtype=np.intp)[index]
+    return list(values), index
+
+
+def _check_rankings(ballots, index) -> None:
+    """Raise what `StrictProfile` raises for the voters casting
+    `ballots[index[j]]`, the ballots distinct objects in order of first
+    voter. The labels' types are checked once per object: (1, 2, 3) and
+    (1.0, 2.0, 3.0) are equal, so one could hide behind the other. The
+    permutation check depends on values only and runs once per distinct
+    value, in the order of their first voters."""
+    if not index.size:
+        raise ValueError("profile needs at least one voter")
+    if not ballots[index[0]]:
+        raise ValueError("profile needs at least one candidate")
+    if not _integral(ballots):
+        raise ValueError("candidate labels must be integers")
+    m = len(ballots[index[0]])
+    expected = set(range(1, m + 1))
+    for ranking in dict.fromkeys(ballots):
+        if set(ranking) != expected or len(ranking) != m:
+            v = int(np.flatnonzero(index == ballots.index(ranking))[0]) + 1
+            raise ValueError(f"ranking of voter {v} is not a permutation of 1..{m}")
+
+
+@dataclass(frozen=True, eq=False)
+class BallotRecord:
+    """A strict profile's distinct ballots: `rankings` holds them in order
+    of first voter, voter j + 1 casts `rankings[index[j]]`, `counts[b]`
+    voters cast ballot b, and `places[b, c - 1]` is the 0-based place of
+    candidate c on ballot b. The arrays are `np.intp` and read-only."""
 
     rankings: tuple[tuple[int, ...], ...]
+    index: np.ndarray
+    counts: np.ndarray
+    places: np.ndarray
+
+    @classmethod
+    def of(cls, ballots, index) -> "BallotRecord":
+        """The record of the voters casting `ballots[index[j]]`, ballots
+        checked as `StrictProfile` checks them, in order of first voter and
+        each cast by some voter; equal ones are merged."""
+        rankings, index = _by_value(ballots, index)
+        counts = np.bincount(index, minlength=len(rankings))
+        places = np.array(rankings, dtype=np.intp).argsort(axis=1)
+        return cls(tuple(rankings), *map(_frozen, (index, counts, places)))
+
+    def voter_places(self) -> np.ndarray:
+        """The n x m table of each voter's places, one gather of `places`."""
+        return self.places[self.index]
+
+
+@dataclass(frozen=True)
+class StrictProfile:
+    """One complete strict ranking per voter, most preferred first.
+
+    Construction checks the rankings and builds `ballots`, the record of
+    the distinct ballots every per-ballot computation reads. `==` and
+    `hash` compare `rankings` only."""
+
+    rankings: tuple[tuple[int, ...], ...]
+    ballots: BallotRecord = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.rankings:
             raise ValueError("profile needs at least one voter")
-        if not self.rankings[0]:
-            raise ValueError("profile needs at least one candidate")
-        # The labels' types are checked on every ballot: (1, 2, 3) and
-        # (1.0, 2.0, 3.0) are equal, so one could hide behind the other.
-        # The permutation check depends on values only and runs once per
-        # distinct ballot, in the order of their first voters.
-        if not _integral(self.rankings):
-            raise ValueError("candidate labels must be integers")
-        m = len(self.rankings[0])
-        expected = set(range(1, m + 1))
-        for ranking in dict.fromkeys(self.rankings):
-            if set(ranking) != expected or len(ranking) != m:
-                v = self.rankings.index(ranking) + 1
-                raise ValueError(f"ranking of voter {v} is not a permutation of 1..{m}")
+        ballots, index = _by_identity(self.rankings)
+        _check_rankings(ballots, index)
+        object.__setattr__(self, "ballots", BallotRecord.of(ballots, index))
 
-    @cached_property
+    @classmethod
+    def _of_ballots(cls, ballots, index) -> "StrictProfile":
+        """The profile whose voter j + 1 casts `ballots[index[j]]`, for
+        ballots already checked as a profile's, in order of first voter and
+        each cast by some voter: no check runs again, and `rankings` holds
+        shared references to the record's ballots."""
+        profile = object.__new__(cls)
+        record = BallotRecord.of(ballots, index)
+        # Gathered as objects: the tuples themselves, not copies.
+        shared = np.empty(len(record.rankings), dtype=object)
+        for b, ranking in enumerate(record.rankings):
+            shared[b] = ranking
+        object.__setattr__(profile, "rankings", tuple(shared[record.index].tolist()))
+        object.__setattr__(profile, "ballots", record)
+        return profile
+
+    @property
     def positions(self) -> tuple[tuple[int, ...], ...]:
         """Per voter the 0-based place of each candidate on the ballot:
-        `positions[j][c - 1]` is where voter j + 1 ranks candidate c. Equal
-        ballots share one row."""
-        labels = range(1, self.m + 1)
-        rows = {r: tuple(map(r.index, labels)) for r in set(self.rankings)}
-        return tuple(map(rows.__getitem__, self.rankings))
+        `positions[j][c - 1]` is where voter j + 1 ranks candidate c. A view
+        of the record, built on each read; equal ballots share one row."""
+        rows = tuple(map(tuple, self.ballots.places.tolist()))
+        return tuple(map(rows.__getitem__, self.ballots.index.tolist()))
 
     @property
     def m(self) -> int:
@@ -90,20 +179,36 @@ class TiedProfile:
     """
 
     groups: tuple[tuple[tuple[int, ...], ...], ...]
+    #: The distinct per-voter tie-group tuples, in order of first voter;
+    #: voter j + 1 holds `ballots[index[j]]`.
+    ballots: tuple = field(init=False, repr=False, compare=False)
+    index: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.groups:
             raise ValueError("profile needs at least one voter")
-        if not _integral(group for voter_groups in self.groups for group in voter_groups):
+        # Types are checked once per object and partitions once per value,
+        # as for `StrictProfile`; unhashable groups (lists) stay told apart
+        # by identity.
+        ballots, index = _by_identity(self.groups)
+        if not _integral(group for voter_groups in ballots for group in voter_groups):
             raise ValueError("candidate labels must be integers")
+        try:
+            ballots, index = _by_value(ballots, index)
+        except TypeError:
+            pass
         m = sum(len(g) for g in self.groups[0])
         expected = set(range(1, m + 1))
-        for v, voter_groups in enumerate(self.groups, start=1):
+        for b, voter_groups in enumerate(ballots):
             seen = [c for group in voter_groups for c in group]
-            if not voter_groups or any(not group for group in voter_groups):
-                raise ValueError(f"voter {v} has an empty tie group")
-            if set(seen) != expected or len(seen) != m:
+            bad = not voter_groups or any(not group for group in voter_groups)
+            if bad or set(seen) != expected or len(seen) != m:
+                v = int(np.flatnonzero(index == b)[0]) + 1
+                if bad:
+                    raise ValueError(f"voter {v} has an empty tie group")
                 raise ValueError(f"tie groups of voter {v} do not partition 1..{m}")
+        object.__setattr__(self, "ballots", tuple(ballots))
+        object.__setattr__(self, "index", _frozen(index))
 
     @property
     def m(self) -> int:
@@ -246,8 +351,9 @@ def normalize_target(election: Election, spec: ControlSpec) -> tuple[Election, C
     names[0], names[t - 1] = names[t - 1], names[0]
     prefs = election.preferences
     if isinstance(prefs, StrictProfile):
-        swapped = {r: tuple(swap_index(c, 1, t) for c in r) for r in set(prefs.rankings)}
-        new_prefs: Preferences = StrictProfile(tuple(map(swapped.__getitem__, prefs.rankings)))
+        record = prefs.ballots
+        swapped = [tuple(swap_index(c, 1, t) for c in r) for r in record.rankings]
+        new_prefs: Preferences = StrictProfile._of_ballots(swapped, record.index)
     else:
         rows = list(prefs.scores)
         rows[0], rows[t - 1] = rows[t - 1], rows[0]
@@ -265,7 +371,16 @@ def restrict_to_voters(election: Election, keep: Iterable[int]) -> Election:
     pick = [j - 1 for j in kept]
     prefs = election.preferences
     if isinstance(prefs, StrictProfile):
-        new_prefs: Preferences = StrictProfile(tuple(prefs.rankings[j] for j in pick))
+        record = prefs.ballots
+        picked = record.index[np.array(pick, dtype=np.intp)]
+        # The kept ballots, in order of their first kept voter; a ballot no
+        # kept voter casts has first == n and sorts last.
+        n = picked.size
+        first = np.full(len(record.rankings), n, dtype=np.intp)
+        np.minimum.at(first, picked, np.arange(n))
+        order = first.argsort(kind="stable")
+        kept_ballots = [record.rankings[b] for b in order[: np.count_nonzero(first < n)].tolist()]
+        new_prefs: Preferences = StrictProfile._of_ballots(kept_ballots, order.argsort()[picked])
     else:
         new_prefs = ScoreMatrix(tuple(tuple(row[j] for j in pick) for row in prefs.scores))
     return Election(election.candidates, range(1, len(kept) + 1), new_prefs)
@@ -282,10 +397,9 @@ def restrict_to_candidates(election: Election, keep: Iterable[int]) -> Election:
     relabel = {orig: new for new, orig in enumerate(kept, start=1)}
     prefs = election.preferences
     if isinstance(prefs, StrictProfile):
-        relabeled = {
-            r: tuple(relabel[c] for c in r if c in relabel) for r in set(prefs.rankings)
-        }
-        new_prefs: Preferences = StrictProfile(tuple(map(relabeled.__getitem__, prefs.rankings)))
+        record = prefs.ballots
+        relabeled = [tuple(relabel[c] for c in r if c in relabel) for r in record.rankings]
+        new_prefs: Preferences = StrictProfile._of_ballots(relabeled, record.index)
     else:
         new_prefs = ScoreMatrix(tuple(prefs.scores[c - 1] for c in kept))
     return Election(tuple(election.candidates[c - 1] for c in kept), election.voters, new_prefs)

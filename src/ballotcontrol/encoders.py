@@ -19,7 +19,8 @@ forms: `(name, coef)` term tuples, which an alternative block also takes
 (each alternative a list of `(terms, rhs, tag)` rows read as `terms <=
 rhs`), and blocks of CSR arrays over column indices
 (`LinearProgram.add_rows`). The families with a term per voter are built
-as arrays from the rank table `StrictProfile.positions` or the score table
+as arrays from the voters' places, one gather of the ballot record's
+place table (`BallotRecord.voter_places`), or from the score table
 (the win rows of RE, CE and PE, MME's rival-cap and target-floor rows,
 BEV's score rows) and so are the 2·n·m² Bucklin points rows
 (`_bucklin_points_rows`); every term is in the order a term-by-term
@@ -96,9 +97,8 @@ def dominance_row_matrix(profile: StrictProfile):
     acceptance criteria 3 and 6 only; the solve path never builds it."""
     if profile.m < 2:
         raise ValueError("dominance rows need at least two candidates")
-    return tuple(
-        tuple(int(p[0] < p[i]) for p in profile.positions) for i in range(1, profile.m)
-    )
+    positions = profile.positions
+    return tuple(tuple(int(p[0] < p[i]) for p in positions) for i in range(1, profile.m))
 
 
 def dominance_cube(profile: StrictProfile):
@@ -220,7 +220,7 @@ def encode_ce(profile: StrictProfile, mode: str = "constructive") -> EncodedProb
     destructive = _is_destructive(mode)
     model = LinearProgram("condorcet-control")
     xs = _decision_vars(model, profile.n)
-    place = np.array(profile.positions).T
+    place = profile.ballots.voter_places().T
     balance = np.where(place[0] < place[1:], 1, -1)
     _duel_rows(model, xs, "ce", xs, np.arange(profile.n), balance, destructive)
     return EncodedProblem(model, xs)
@@ -241,8 +241,9 @@ def encode_pe(profile: StrictProfile, mode: str = "constructive") -> EncodedProb
     xs = _decision_vars(model, m)
     z = _binaries(model, "z", product(range(1, m + 1), range(1, n + 1)))
     model.add_constraint(((xs[0], 1),), "=", 1, tag="pe:target-kept")
+    positions = profile.positions
     for i in range(1, m + 1):
-        for j, place in enumerate(profile.positions, start=1):
+        for j, place in enumerate(positions, start=1):
             better = _ranked_above(xs, place, i)
             model.add_constraint(
                 better + ((z[i, j], m),), "<=", m, tag=f"pe:top-blocked:c{i}:v{j}"
@@ -281,10 +282,12 @@ def encode_mme(profile: StrictProfile, mode: str = "constructive") -> EncodedPro
     model = LinearProgram(name)
     xs = _decision_vars(model, n)
     b = model.add_variable("b", INTEGER, 0 if destructive else 1, n)
+    place = profile.ballots.voter_places().T
 
     def backers(i, k, coef):
         # The kept voters preferring candidate i to candidate k.
-        return tuple((x, coef) for x, p in zip(xs, profile.positions) if p[i - 1] < p[k - 1])
+        voters = np.flatnonzero(place[i - 1] < place[k - 1]).tolist()
+        return tuple((xs[j], coef) for j in voters)
 
     if destructive and m == 1:
         _impossible(model, xs)
@@ -319,7 +322,6 @@ def encode_mme(profile: StrictProfile, mode: str = "constructive") -> EncodedPro
         pairs = [(i, k) for i in range(2, m + 1) for k in range(1, m + 1) if k != i]
         z = _binaries(model, "z", pairs)
         # The columns: x_1..x_n are 0..n - 1, b is n, and the z follow.
-        place = np.array(profile.positions).T
         rival, other = np.array(pairs, dtype=np.intp).reshape(-1, 2).T - 1
         # Per pair (i, k) a row of its supporters (the voters preferring i
         # to k), z_{i}_{k} and b. The relaxation constant only has to cover
@@ -408,7 +410,7 @@ def encode_bev(profile: StrictProfile, mode: str = "constructive") -> EncodedPro
     # n + m·(i - 1) + k - 1) with 2n. Halved majority rows are pre-scaled by
     # 2 to keep coefficients integral; a voter ranks i in the top k when its
     # 0-based place of i is below k.
-    place = np.array(profile.positions).T
+    place = profile.ballots.voter_places().T
     top = place[:, None, :] < np.arange(1, m + 1)[:, None]
     coefs = np.full((m * m, n + 1), 2 * n, dtype=np.int64)
     coefs[:, :n] = np.where(top, -1, 1).reshape(m * m, n)
@@ -440,7 +442,7 @@ def _bucklin_points_rows(model, profile) -> None:
     first m columns and the y the next n·m² in (j, i, l) order; all
     2·n·m² rows go in as one `add_rows` block."""
     m, n = profile.m, profile.n
-    place = np.array(profile.positions)
+    place = profile.ballots.voter_places()
     lengths = np.repeat(place.reshape(-1), 2 * m) + np.tile([1, 2], n * m * m)
     indptr = np.concatenate([[0], np.cumsum(lengths)])
     # int32 columns, as the row table holds them.

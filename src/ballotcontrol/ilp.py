@@ -12,7 +12,9 @@ exact lower and upper bounds in plain lists, and the objective as its
 columns and coefficients. Columns are declared in blocks that share a
 kind and bounds (`add_variables`; `add_variable` declares one). It stores
 its rows once, by term: each term's column in one int32 `array`, its
-exact coefficient in a list. Rows come in two forms only: one at a time
+exact coefficient in one int64 `array` while every coefficient is a plain
+`int` that fits, and in a list of the numbers as given from the first one
+that is not. Rows come in two forms only: one at a time
 as `(name, coef)` terms (`add_constraint`; an alternative block takes
 rows of that form too) or as a block of CSR arrays over column indices
 (`add_rows`). Its `row_table` compiles the rows into CSR arrays. The
@@ -180,7 +182,7 @@ class LinearProgram:
         # The rows, in insertion order: each term's column and coefficient
         # as given, and each row's end offset into those, sense, rhs and tag.
         self._cols = array("i")
-        self._coefs: list[Number] = []
+        self._coefs: Union[array, list[Number]] = array("q")
         self._ends: list[int] = []
         self._senses: list[str] = []
         self._rhs: list[Number] = []
@@ -247,7 +249,7 @@ class LinearProgram:
             raise ValueError(f"unknown constraint sense {sense!r}")
         cols, coefs = self._resolve(tuple(terms), rhs, tag)
         self._cols.fromlist(cols)
-        self._coefs += coefs
+        self._append_coefs(coefs)
         self._ends.append(len(self._cols))
         self._senses.append(sense)
         self._rhs.append(rhs)
@@ -261,7 +263,8 @@ class LinearProgram:
         `rhs[i]` and `tags[i]`. The rows are checked as `add_constraint`
         checks one, and appended only after every check passes: the
         columns as int32 bytes, with no work per declared column or per
-        term in Python, the other numbers as Python numbers."""
+        term in Python, and an integer coefficient array that fits int64
+        as int64 bytes; the other numbers as Python numbers."""
         arrays = []
         for name, values in (("indptr", indptr), ("cols", cols)):
             values = np.asarray(values)
@@ -298,11 +301,30 @@ class LinearProgram:
         del keys
         self._ends += (indptr[1:].astype(np.int64) + len(self._cols)).tolist()
         self._cols.frombytes(cols.astype(np.intc).tobytes())  # the C int of array("i")
-        self._coefs += _python_list(coefs)
+        self._append_coefs(coefs)
         self._senses += senses
         self._rhs += rhs
         self._tags += tags
         self._rows = None
+
+    def _append_coefs(self, coefs) -> None:
+        """Append checked coefficients to the store (see the module
+        docstring), turning it into a list at the first coefficient that is
+        not a plain `int` fitting int64: a bool, a float, a numpy scalar."""
+        if isinstance(self._coefs, array):
+            kind = coefs.dtype.kind if isinstance(coefs, np.ndarray) else None
+            if kind == "i" or (kind == "u" and coefs.max(initial=0) < 2**63):
+                self._coefs.frombytes(coefs.astype(np.int64).tobytes())
+                return
+            coefs = _python_list(coefs)
+            if set(map(type, coefs)) <= {int}:
+                try:
+                    self._coefs.fromlist(coefs)  # unchanged if one overflows
+                    return
+                except OverflowError:
+                    pass
+            self._coefs = self._coefs.tolist()
+        self._coefs += _python_list(coefs)
 
     def _row_items(self):
         """Each row as (columns, coefficients, sense, rhs, tag)."""
@@ -328,13 +350,10 @@ class LinearProgram:
             # A copy of the column buffer, which later rows may still grow.
             indices = np.array(self._cols, dtype=np.int32)
             coefs = self._coefs
-            data = None
-            if set(map(type, coefs)) <= {int}:
-                try:
-                    data = np.array(coefs, dtype=np.int64)
-                except OverflowError:
-                    pass
-            if data is None:
+            # A list store holds a coefficient that is not a plain int64.
+            if isinstance(coefs, array):
+                data = np.array(coefs, dtype=np.int64)
+            else:
                 data = np.fromiter(coefs, float, len(coefs))
             self._rows = RowTable(indptr, indices, data)
         return self._rows

@@ -19,9 +19,12 @@ above. Every order line must cover all m alternatives exactly once.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
-from .core import Election, ScoreMatrix, StrictProfile, TiedProfile
+import numpy as np
+
+from .core import Election, ScoreMatrix, StrictProfile, TiedProfile, _check_rankings
 
 
 class PrefLibParseError(ValueError):
@@ -67,11 +70,18 @@ def parse_preflib(text) -> PrefLibDocument:
     return _parse_legacy(lines)
 
 
+# ASCII digits with an optional leading '-': Python's `int` also takes
+# '+3', '1_0' and non-ASCII digits such as '٣'.
+_INTEGER = re.compile(r"-?[0-9]+")
+
+
 def _parse_int(token: str, what: str) -> int:
-    try:
-        return int(token.strip())
-    except ValueError:
-        raise PrefLibParseError(f"expected an integer {what}, got {token!r}") from None
+    """`token`, stripped of surrounding whitespace, as an integer; any other
+    token raises PrefLibParseError. A negative value is returned, for the
+    caller's more specific message."""
+    if not _INTEGER.fullmatch(token.strip()):
+        raise PrefLibParseError(f"expected an integer {what}, got {token!r}")
+    return int(token)
 
 
 def _split_items(text: str):
@@ -220,33 +230,36 @@ def serialize_preflib(doc: PrefLibDocument) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _expanded_orders(doc: PrefLibDocument) -> list:
-    """One order per unit of multiplicity, in file order."""
-    orders = []
-    for mult, order in doc.order_lines:
-        orders.extend([order] * mult)
-    return orders
+def _orders(doc: PrefLibDocument) -> tuple[list, np.ndarray]:
+    """The orders of the lines with a positive multiplicity, in file order,
+    and each voter's index into them (one voter per unit of multiplicity)
+    as an `np.intp` array."""
+    lines = [(mult, order) for mult, order in doc.order_lines if mult > 0]
+    index = np.repeat(np.arange(len(lines)), [mult for mult, _ in lines])
+    return [order for _, order in lines], index
 
 
 def expand_voters(doc: PrefLibDocument) -> Election:
     """One voter per unit of multiplicity, in file order, as a
-    StrictProfile. A file with ties has no strict profile: it raises
-    ValueError, and `expand_scores` reads it as scores instead."""
+    StrictProfile. Each order line becomes one ballot, checked once and
+    shared by the line's voters. A file with ties has no strict profile: it
+    raises ValueError, and `expand_scores` reads it as scores instead."""
     if not doc.is_strict:
         raise ValueError("the file has ties; read it as scores with expand_scores")
-    orders = _expanded_orders(doc)
-    profile = StrictProfile(tuple(tuple(g[0] for g in order) for order in orders))
+    orders, index = _orders(doc)
+    ballots = [tuple(g[0] for g in order) for order in orders]
+    _check_rankings(ballots, index)
     names = tuple(name for _, name in doc.alternatives)
-    return Election(names, range(1, len(orders) + 1), profile)
+    return Election(names, range(1, index.size + 1), StrictProfile._of_ballots(ballots, index))
 
 
 def expand_scores(doc: PrefLibDocument) -> Election:
     """One voter per unit of multiplicity, in file order, as a ScoreMatrix
     from `tied_to_scores`. Reads strict files and files with ties alike."""
-    orders = _expanded_orders(doc)
-    scores = tied_to_scores(TiedProfile(tuple(orders)), doc.m)
+    orders, index = _orders(doc)
+    scores = tied_to_scores(TiedProfile(tuple(map(orders.__getitem__, index.tolist()))), doc.m)
     names = tuple(name for _, name in doc.alternatives)
-    return Election(names, range(1, len(orders) + 1), scores)
+    return Election(names, range(1, index.size + 1), scores)
 
 
 def tied_to_scores(profile: TiedProfile, m: int) -> ScoreMatrix:
@@ -257,14 +270,15 @@ def tied_to_scores(profile: TiedProfile, m: int) -> ScoreMatrix:
     assignment. With ties, all members of a group share the group's score;
     this group-position convention is an interpretation choice (an
     alternative would be rank-position scoring) and is documented as such.
+    Each distinct tie-group tuple is scored once.
     """
     if profile.m != m:
         raise ValueError(f"profile has {profile.m} candidates, expected {m}")
     columns = []
-    for voter_groups in profile.groups:
+    for voter_groups in profile.ballots:
         col = [0] * m
         for g, group in enumerate(voter_groups, start=1):
             for c in group:
                 col[c - 1] = m - g
         columns.append(col)
-    return ScoreMatrix(tuple(tuple(col[i] for col in columns) for i in range(m)))
+    return ScoreMatrix(tuple(zip(*map(columns.__getitem__, profile.index.tolist()))))

@@ -9,9 +9,10 @@ exact integer arithmetic (2*count > n).
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from typing import Optional
+
+import numpy as np
 
 from .core import Election, ScoreMatrix, StrictProfile, restrict_to_candidates, restrict_to_voters
 
@@ -54,15 +55,17 @@ def pairwise_advantage(profile: StrictProfile, a: int, b: int) -> int:
     """Number of voters preferring candidate a to candidate b."""
     if a == b or not (1 <= a <= profile.m and 1 <= b <= profile.m):
         raise ValueError(f"advantage needs two distinct candidates of 1..{profile.m}")
-    return sum(p[a - 1] < p[b - 1] for p in profile.positions)
+    record = profile.ballots
+    return int(record.counts[record.places[:, a - 1] < record.places[:, b - 1]].sum())
 
 
 def _advantages(profile: StrictProfile) -> list[list[int]]:
     """m x m matrix; entry (a - 1, b - 1) is the number of voters preferring
     candidate a to candidate b (0 on the diagonal), counted once per distinct
-    ballot."""
-    ballots, cs = Counter(profile.positions).items(), range(profile.m)
-    return [[sum(k for p, k in ballots if p[a] < p[b]) for b in cs] for a in cs]
+    ballot and weighted by its count."""
+    places, counts = profile.ballots.places, profile.ballots.counts
+    prefers = places[:, :, None] < places[:, None, :]
+    return (counts @ prefers.reshape(len(counts), -1)).reshape(profile.m, profile.m).tolist()
 
 
 def condorcet_winner(profile: StrictProfile) -> WinnerOutcome:
@@ -79,9 +82,10 @@ def condorcet_winner(profile: StrictProfile) -> WinnerOutcome:
 
 def plurality_winner(profile: StrictProfile) -> WinnerOutcome:
     """Candidate with strictly the most top preferences, if unique."""
+    record = profile.ballots
     tops = [0] * profile.m
-    for r in profile.rankings:
-        tops[r[0] - 1] += 1
+    for r, count in zip(record.rankings, record.counts.tolist()):
+        tops[r[0] - 1] += count
     tops = tuple(tops)
     return WinnerOutcome(_unique_extreme(tops, "max"), tops)
 
@@ -110,25 +114,30 @@ def bucklin_rank_set(profile: StrictProfile, voter: int, k: int) -> frozenset[in
     return frozenset(profile.rankings[voter - 1][:k])
 
 
+def _bucklin_scores(profile: StrictProfile) -> list[int]:
+    """Every candidate's `bucklin_psi`, tallied once per distinct ballot."""
+    m, record = profile.m, profile.ballots
+    # at[c - 1, p]: the voters placing candidate c at 0-based place p.
+    at = np.zeros((m, m), dtype=np.intp)
+    np.add.at(at, (np.arange(m), record.places), record.counts[:, None])
+    reached = 2 * at.cumsum(axis=1) > profile.n
+    return np.where(reached.any(axis=1), reached.argmax(axis=1) + 1, m + 1).tolist()
+
+
 def bucklin_psi(profile: StrictProfile, c: int) -> int:
     """Least depth k at which c is in the top k of a strict majority.
 
     Returns the sentinel m+1 when no depth qualifies, which cannot happen
     for complete strict profiles with at least one voter.
     """
-    m, n = profile.m, profile.n
-    if not 1 <= c <= m:
-        raise ValueError(f"candidate {c} out of range 1..{m}")
-    places = Counter(p[c - 1] for p in profile.positions)
-    for k in range(1, m + 1):
-        if 2 * sum(count for place, count in places.items() if place < k) > n:
-            return k
-    return m + 1
+    if not 1 <= c <= profile.m:
+        raise ValueError(f"candidate {c} out of range 1..{profile.m}")
+    return _bucklin_scores(profile)[c - 1]
 
 
 def bucklin_winner(profile: StrictProfile) -> WinnerOutcome:
     """Candidate whose Bucklin score is strictly the smallest, if unique."""
-    psis = tuple(bucklin_psi(profile, c) for c in range(1, profile.m + 1))
+    psis = tuple(_bucklin_scores(profile))
     return WinnerOutcome(_unique_extreme(psis, "min"), psis, direction="min")
 
 

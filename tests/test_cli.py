@@ -111,6 +111,31 @@ class TestWinner:
         assert code == 2
         assert "cannot parse" in err
 
+    @pytest.mark.parametrize(
+        "name,text",
+        [
+            ("bad.soc", "# NUMBER ALTERNATIVES: 2\n1_0: 1,2\n"),
+            ("bad.soc", "# NUMBER ALTERNATIVES: 2\n\u0663: 2,1\n"),
+            ("bad.soc", "2\n1,A\n2,B\n3,3,1\n+3,1,2\n"),
+            ("bad.csv", "2\n1_0,1\n0,1\n"),
+            ("bad.csv", "2\n+3,1\n0,1\n"),
+            ("bad.csv", "\u0662\n3,1\n0,1\n"),
+        ],
+    )
+    def test_non_ascii_integer_token_exit_code(self, capsys, tmp_path, name, text):
+        path = tmp_path / name
+        path.write_text(text, encoding="utf-8")
+        code, out, err = run(capsys, "winner", "--rule", "range", "--input", str(path))
+        assert (code, out) == (2, "")
+        assert "expected an integer" in err
+
+    def test_negative_score_keeps_its_message(self, capsys, tmp_path):
+        path = tmp_path / "negative.csv"
+        path.write_text("2\n-3,1\n0,1\n")
+        code, out, err = run(capsys, "winner", "--rule", "range", "--input", str(path))
+        assert (code, out) == (2, "")
+        assert "scores must be non-negative" in err
+
     def test_legacy_voter_count_mismatch_exit_code(self, capsys, tmp_path):
         # the header declares 99 voters over multiplicities that sum to 3
         path = tmp_path / "bad.soc"

@@ -274,8 +274,8 @@ def test_swap_index():
 
 
 def test_positions_shared_across_threads():
-    # cached_property takes no lock (Python >= 3.12): threads that race on a
-    # fresh profile may each compute the table, and must all read the same one
+    # positions is a view of the ballot record, which construction builds:
+    # threads that read a fresh profile at once must all read the same table
     rng = random.Random(5)
     rankings = tuple(tuple(rng.sample(range(1, 7), 6)) for _ in range(300))
     expected = tuple(tuple(r.index(c) for c in range(1, 7)) for r in rankings)

@@ -115,6 +115,29 @@ class TestParse:
         with pytest.raises(PrefLibParseError, match="multiplicity total of 4, order lines have 3"):
             parse_preflib("3\n1,a\n2,b\n3,c\n3,4,2\n2,1,2,3\n1,3,2,1\n")
 
+    @pytest.mark.parametrize(
+        "text,token",
+        [
+            # Python's int() reads each of these: as 10, 3 and 3.
+            ("# NUMBER ALTERNATIVES: 2\n1_0: 1,2\n", "1_0"),
+            ("# NUMBER ALTERNATIVES: 2\n\u0663: 2,1\n", "\u0663"),
+            ("2\n1,A\n2,B\n3,3,1\n+3,1,2\n", "+3"),
+            ("2\n1,A\n2,B\n1,1,1\n1,1,\uff12\n", "\uff12"),
+            ("# NUMBER ALTERNATIVES: 2\n# NUMBER VOTERS: 1_0\n10: 1,2\n", "1_0"),
+        ],
+    )
+    def test_only_ascii_integer_tokens_accepted(self, text, token):
+        with pytest.raises(PrefLibParseError, match="expected an integer") as info:
+            parse_preflib(text)
+        assert repr(token) in str(info.value)
+
+    def test_negative_tokens_keep_their_messages(self):
+        with pytest.raises(PrefLibParseError, match="multiplicity must be positive, got -3"):
+            parse_preflib("# NUMBER ALTERNATIVES: 2\n-3: 1,2\n")
+        with pytest.raises(PrefLibParseError, match="out of range 1..2"):
+            parse_preflib("# NUMBER ALTERNATIVES: 2\n1: -1,2\n")
+        assert parse_preflib("# NUMBER ALTERNATIVES: 2\n 3 :  2 , 1 \n").num_voters == 3
+
     def test_empty_input_rejected(self):
         with pytest.raises(PrefLibParseError):
             parse_preflib("\n\n")
